@@ -4,8 +4,9 @@
 //! 7.21 GFlop/s ... dTTMQR ... 6.28 GFlop/s").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hqr_kernels::blocked::{tsmqr_ib, tsqrt_ib};
-use hqr_kernels::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, KernelKind, Trans};
+use hqr_kernels::{
+    geqrt, tsmqr, tsmqr_ib, tsqrt, tsqrt_ib, ttmqr, ttqrt, unmqr, KernelKind, Trans,
+};
 use hqr_tile::DenseMatrix;
 
 fn tile(b: usize, seed: u64) -> Vec<f64> {

@@ -5,8 +5,7 @@
 //! columns and (b) that A is equal to Q∗R").
 
 use crate::elim::ElimList;
-use hqr_kernels::blocked::{tsmqr_ib, ttmqr_ib, unmqr_ib};
-use hqr_kernels::{tsmqr, ttmqr, unmqr, Trans};
+use hqr_kernels::{tsmqr_ib, ttmqr_ib, unmqr_ib, Trans};
 use hqr_runtime::{execute_parallel_ib, execute_serial_ib, TFactors, TaskGraph};
 use hqr_tile::{DenseMatrix, TiledMatrix};
 
@@ -26,7 +25,7 @@ pub struct QrFactorization {
     a: TiledMatrix,
     factors: TFactors,
     elims: ElimList,
-    /// Inner block size the kernels ran with (`ib == b`: unblocked).
+    /// Inner block size the kernels ran with.
     ib: usize,
 }
 
@@ -58,8 +57,8 @@ pub fn qr_factorize(a: &mut TiledMatrix, elims: &ElimList, exec: Execution) -> Q
 }
 
 /// [`qr_factorize`] with PLASMA-style inner blocking: kernels process the
-/// tile in column panels of width `ib` (`ib == b` selects the unblocked
-/// kernels). The factorization records `ib` so Q applications use the
+/// tile in column panels of width `ib` ([`qr_factorize`] uses one panel,
+/// `ib = b`). The factorization records `ib` so Q applications use the
 /// matching blocked reflector grouping.
 pub fn qr_factorize_ib(
     a: &mut TiledMatrix,
@@ -129,23 +128,17 @@ impl QrFactorization {
 
     fn apply_panel_geqrts(&self, c: &mut TiledMatrix, k: usize, trans: Trans) {
         let b = self.a.b();
-        let blocked = self.ib < b;
         for i in self.triangle_rows(k) {
             let vg = self.factors.vg(i, k).expect("GEQRT factor present");
             let tg = self.factors.tg(i, k).expect("GEQRT T present");
             for jc in 0..c.nt() {
-                if blocked {
-                    unmqr_ib(b, self.ib, vg, tg, c.tile_mut(i, jc), trans);
-                } else {
-                    unmqr(b, vg, tg, c.tile_mut(i, jc), trans);
-                }
+                unmqr_ib(b, self.ib, vg, tg, c.tile_mut(i, jc), trans);
             }
         }
     }
 
     fn apply_panel_kills(&self, c: &mut TiledMatrix, k: usize, trans: Trans, reversed: bool) {
         let b = self.a.b();
-        let blocked = self.ib < b;
         let mut panel: Vec<_> = self.elims.panel(k).copied().collect();
         if reversed {
             panel.reverse();
@@ -154,14 +147,10 @@ impl QrFactorization {
             let (piv, i) = (e.killer as usize, e.victim as usize);
             let v2 = self.a.tile(i, k);
             let tk = self.factors.tk(i, k).expect("kill T present");
+            let apply = if e.ts { tsmqr_ib } else { ttmqr_ib };
             for jc in 0..c.nt() {
                 let (c1, c2) = c.tile_pair_mut((piv, jc), (i, jc));
-                match (e.ts, blocked) {
-                    (true, false) => tsmqr(b, v2, tk, c1, c2, trans),
-                    (true, true) => tsmqr_ib(b, self.ib, v2, tk, c1, c2, trans),
-                    (false, false) => ttmqr(b, v2, tk, c1, c2, trans),
-                    (false, true) => ttmqr_ib(b, self.ib, v2, tk, c1, c2, trans),
-                }
+                apply(b, self.ib, v2, tk, c1, c2, trans);
             }
         }
     }

@@ -1,89 +1,175 @@
-//! Update kernels: UNMQR, TSMQR, TTMQR (apply op(Q) of a factor kernel).
+//! Update kernels: UNMQR, TSMQR, TTMQR (apply op(Q) of a factor kernel),
+//! and the per-panel block-applies the factor kernels share with them.
 //!
-//! All three are built as packed calls into the shared gemm core
+//! Every apply is a packed call into the shared gemm core
 //! ([`crate::micro`]): triangular operands are pack-cleaned (the ignored
 //! triangle zeroed, unit diagonals materialized) so the vector arm can
 //! run dense register blocks while the structure mask preserves the
 //! kernels' nominal flop counts. Control flow is input-independent —
 //! there are no data-dependent early-outs — so per-call flop counts are
-//! a function of `b` alone and results are bitwise deterministic
+//! a function of `(b, ib)` alone and results are bitwise deterministic
 //! run-to-run for a fixed dispatch arm.
 
 use crate::micro::{gemm_core, simd_arm, MaskA, SimdArm};
-use crate::{check_tile, Trans};
+use crate::{check_ib, check_tile, panels, Trans};
 
-/// Multiply the `b × b` workspace `w` in place by op(T), where `t` is the
-/// upper-triangular block-reflector factor (its strict lower triangle is
-/// ignored).
-fn apply_t(arm: SimdArm, b: usize, t: &[f64], w: &mut [f64], trans: Trans) {
-    let mut tc = vec![0.0; b * b];
+/// Multiply the `w × n` workspace `wbuf` in place by op(T_p), where the
+/// panel T is stored at rows 0..w, cols s..s+w of `t` (strict lower of
+/// the panel triangle ignored).
+#[allow(clippy::too_many_arguments)]
+fn apply_t_panel(
+    arm: SimdArm,
+    b: usize,
+    t: &[f64],
+    s: usize,
+    w: usize,
+    n: usize,
+    wbuf: &mut [f64],
+    trans: Trans,
+) {
+    let mut tc = vec![0.0; w * w];
     let mask = match trans {
         // W := Tᵀ·W with Tᵀ lower triangular.
         Trans::Trans => {
-            for j in 0..b {
+            for j in 0..w {
                 for i in 0..=j {
-                    tc[j + i * b] = t[i + j * b];
+                    tc[j + i * w] = t[i + (s + j) * b];
                 }
             }
-            MaskA::Lower
+            MaskA::Lower(0)
         }
         // W := T·W with T upper triangular.
         Trans::NoTrans => {
-            for j in 0..b {
+            for j in 0..w {
                 for i in 0..=j {
-                    tc[i + j * b] = t[i + j * b];
+                    tc[i + j * w] = t[i + (s + j) * b];
                 }
             }
-            MaskA::Upper
+            MaskA::Upper(0)
         }
     };
-    let wsrc = w.to_vec();
-    gemm_core(arm, b, b, b, 1.0, &tc, b, mask, &wsrc, b, 0.0, w, b);
+    let src = wbuf.to_vec();
+    gemm_core(arm, w, n, w, 1.0, &tc, w, mask, &src, w, 0.0, wbuf, w);
 }
 
-/// Apply op(Q) of a [`crate::geqrt`] factorization to a tile `c`
-/// (PLASMA `CORE_dormqr`, left side): C := op(Q)·C with Q = I − V·T·Vᵀ.
+/// `C := op(I − V·T_p·Vᵀ)·C` for the unit-lower reflector panel in columns
+/// `s..s+w` of `v` (rows below the unit diagonal; R above it is ignored).
+/// `c` starts at row `s` of an `n`-column block with leading dimension `b`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn apply_unit_lower_panel(
+    arm: SimdArm,
+    b: usize,
+    s: usize,
+    w: usize,
+    v: &[f64],
+    t: &[f64],
+    c: &mut [f64],
+    n: usize,
+    trans: Trans,
+) {
+    // Pack V (local rows 0..b−s, unit diagonal at row r) and Vᵀ.
+    let mrows = b - s;
+    let mut vp = vec![0.0; mrows * w];
+    let mut vpt = vec![0.0; w * mrows];
+    for r in 0..w {
+        vp[r + r * mrows] = 1.0;
+        vpt[r + r * w] = 1.0;
+        for i in (s + r + 1)..b {
+            let x = v[i + (s + r) * b];
+            vp[(i - s) + r * mrows] = x;
+            vpt[r + (i - s) * w] = x;
+        }
+    }
+    // W = Vᵀ·C; W := op(T)·W; C −= V·W.
+    let mut wbuf = vec![0.0; w * n];
+    gemm_core(arm, w, n, mrows, 1.0, &vpt, w, MaskA::Upper(0), c, b, 0.0, &mut wbuf, w);
+    apply_t_panel(arm, b, t, s, w, n, &mut wbuf, trans);
+    gemm_core(arm, mrows, n, w, -1.0, &vp, mrows, MaskA::Lower(0), &wbuf, w, 1.0, c, b);
+}
+
+/// `[A1; A2] := op(I − V̂·T_p·V̂ᵀ)·[A1; A2]` for the stacked reflector panel
+/// in columns `s..s+w` of `v2` (V̂ = [I; V2]), over an `n`-column block of
+/// `a1` (rows `s..s+w` are touched) and `a2`, both with leading dimension
+/// `b`. With `tri` (TT), column `s+r` of V2 has rows `0..=s+r` active and
+/// the strict lower triangle of `v2` is never read.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn apply_stacked_panel(
+    arm: SimdArm,
+    b: usize,
+    s: usize,
+    w: usize,
+    v2: &[f64],
+    t: &[f64],
+    a1: &mut [f64],
+    a2: &mut [f64],
+    n: usize,
+    trans: Trans,
+    tri: bool,
+) {
+    // Rows of A2 the panel can touch: with triangular support the panel's
+    // widest column reaches row s+w−1.
+    let keff = if tri { s + w } else { b };
+    let mut vp = vec![0.0; keff * w];
+    let mut vpt = vec![0.0; w * keff];
+    for r in 0..w {
+        let sup = if tri { s + r + 1 } else { keff };
+        for i in 0..sup {
+            let x = v2[i + (s + r) * b];
+            vp[i + r * keff] = x;
+            vpt[r + i * w] = x;
+        }
+    }
+    // TT: Vᵀ[r, i] and V[i, r] are nonzero iff i <= r + s.
+    let (mask_vt, mask_v) =
+        if tri { (MaskA::Lower(s), MaskA::Upper(s)) } else { (MaskA::Full, MaskA::Full) };
+    // W = A1[s..s+w, :] + Vᵀ·A2[0..keff, :].
+    let mut wbuf = Vec::with_capacity(w * n);
+    for col in 0..n {
+        wbuf.extend_from_slice(&a1[s + col * b..s + w + col * b]);
+    }
+    gemm_core(arm, w, n, keff, 1.0, &vpt, w, mask_vt, a2, b, 1.0, &mut wbuf, w);
+    apply_t_panel(arm, b, t, s, w, n, &mut wbuf, trans);
+    // A1[s..s+w, :] −= W; A2[0..keff, :] −= V·W.
+    for (col, wcol) in wbuf.chunks_exact(w).enumerate() {
+        for (x, wv) in a1[s + col * b..s + w + col * b].iter_mut().zip(wcol) {
+            *x -= wv;
+        }
+    }
+    gemm_core(arm, keff, n, w, -1.0, &vp, keff, mask_v, &wbuf, w, 1.0, a2, b);
+}
+
+/// Panels in application order: forward for `Trans`, reversed for
+/// `NoTrans` (Q = Q_1·Q_2·…, so Q·C applies the last panel first).
+fn ordered_panels(b: usize, ib: usize, trans: Trans) -> Vec<(usize, usize)> {
+    let mut order: Vec<(usize, usize)> = panels(b, ib).collect();
+    if trans == Trans::NoTrans {
+        order.reverse();
+    }
+    order
+}
+
+/// Apply op(Q) of a [`crate::geqrt_ib`] factorization with the same `ib`
+/// to a tile `c` (PLASMA `CORE_dormqr`, left side).
 ///
 /// `v` is the factored tile (V in its strict lower triangle, unit diagonal
-/// implicit; its upper triangle — R — is ignored), `t` the T factor.
-pub fn unmqr(b: usize, v: &[f64], t: &[f64], c: &mut [f64], trans: Trans) {
-    unmqr_arm(simd_arm(), b, v, t, c, trans);
-}
-
-/// [`unmqr`] on an explicit dispatch arm (parity tests and benches).
-pub fn unmqr_arm(arm: SimdArm, b: usize, v: &[f64], t: &[f64], c: &mut [f64], trans: Trans) {
+/// implicit; its upper triangle — R — is ignored), `t` the T factors.
+pub fn unmqr_ib(b: usize, ib: usize, v: &[f64], t: &[f64], c: &mut [f64], trans: Trans) {
     check_tile(b, v);
     check_tile(b, t);
     check_tile(b, c);
-    // Pack the unit-lower V (upper triangle of `v` holds R — ignored) and
-    // its transpose.
-    let mut vl = vec![0.0; b * b];
-    let mut vlt = vec![0.0; b * b];
-    for col in 0..b {
-        vl[col + col * b] = 1.0;
-        vlt[col + col * b] = 1.0;
-        for i in (col + 1)..b {
-            let x = v[i + col * b];
-            vl[i + col * b] = x;
-            vlt[col + i * b] = x;
-        }
+    check_ib(b, ib);
+    let arm = simd_arm();
+    for (s, e) in ordered_panels(b, ib, trans) {
+        apply_unit_lower_panel(arm, b, s, e - s, v, t, &mut c[s..], b, trans);
     }
-    // W = Vᵀ·C (Vᵀ unit upper triangular).
-    let mut w = vec![0.0; b * b];
-    gemm_core(arm, b, b, b, 1.0, &vlt, b, MaskA::Upper, c, b, 0.0, &mut w, b);
-    apply_t(arm, b, t, &mut w, trans);
-    // C -= V·W.
-    gemm_core(arm, b, b, b, -1.0, &vl, b, MaskA::Lower, &w, b, 1.0, c, b);
 }
 
-/// Shared implementation of TSMQR/TTMQR: apply op(Q) of a stacked
-/// factorization (Q = I − V̂·T·V̂ᵀ, V̂ = [I; V2]) to the stacked tile pair
-/// `[A1; A2]`. `tri` mirrors the structure flag of the factor kernel:
-/// column `r` of V2 has `r+1` active rows when `tri` is set.
+/// Shared TSMQR/TTMQR: apply op(Q) of a stacked factorization to the tile
+/// pair `[A1; A2]`; `tri` mirrors the factor kernel's structure flag.
 #[allow(clippy::too_many_arguments)]
-fn stacked_mqr(
-    arm: SimdArm,
+fn stacked_mqr_ib(
     b: usize,
+    ib: usize,
     v2: &[f64],
     t: &[f64],
     a1: &mut [f64],
@@ -95,82 +181,63 @@ fn stacked_mqr(
     check_tile(b, t);
     check_tile(b, a1);
     check_tile(b, a2);
-    // Pack-clean V2 and V2ᵀ: for TT the strict lower triangle of `v2` is
-    // dead storage and must never be read (it may hold unrelated data).
-    let mut v2c = vec![0.0; b * b];
-    let mut v2t = vec![0.0; b * b];
-    if tri {
-        for col in 0..b {
-            for i in 0..=col {
-                let x = v2[i + col * b];
-                v2c[i + col * b] = x;
-                v2t[col + i * b] = x;
-            }
-        }
-    } else {
-        v2c.copy_from_slice(v2);
-        for col in 0..b {
-            for i in 0..b {
-                v2t[col + i * b] = v2[i + col * b];
-            }
-        }
+    check_ib(b, ib);
+    let arm = simd_arm();
+    for (s, e) in ordered_panels(b, ib, trans) {
+        apply_stacked_panel(arm, b, s, e - s, v2, t, a1, a2, b, trans, tri);
     }
-    let (mask_vt, mask_v) =
-        if tri { (MaskA::Lower, MaskA::Upper) } else { (MaskA::Full, MaskA::Full) };
-    // W = A1 + V2ᵀ·A2.
-    let mut w = a1.to_vec();
-    gemm_core(arm, b, b, b, 1.0, &v2t, b, mask_vt, a2, b, 1.0, &mut w, b);
-    apply_t(arm, b, t, &mut w, trans);
-    // A1 -= W; A2 -= V2·W.
-    for (x, wv) in a1.iter_mut().zip(&w) {
-        *x -= wv;
-    }
-    gemm_core(arm, b, b, b, -1.0, &v2c, b, mask_v, &w, b, 1.0, a2, b);
 }
 
-/// Apply op(Q) of a [`crate::tsqrt`] to the stacked tile pair `[A1; A2]`
-/// (PLASMA `CORE_dtsmqr`). `v2` is the square V block stored by TSQRT.
+/// Apply op(Q) of a [`crate::tsqrt_ib`] with the same `ib` to the stacked
+/// tile pair `[A1; A2]` (PLASMA `CORE_dtsmqr`). `v2` is the square V block
+/// stored by TSQRT.
+pub fn tsmqr_ib(
+    b: usize,
+    ib: usize,
+    v2: &[f64],
+    t: &[f64],
+    a1: &mut [f64],
+    a2: &mut [f64],
+    trans: Trans,
+) {
+    stacked_mqr_ib(b, ib, v2, t, a1, a2, trans, false);
+}
+
+/// Apply op(Q) of a [`crate::ttqrt_ib`] with the same `ib` to the stacked
+/// tile pair `[A1; A2]` (PLASMA `CORE_dttmqr`). `v2` is upper triangular;
+/// only its upper part is read, which is what makes TTMQR weight 6 versus
+/// TSMQR's 12.
+pub fn ttmqr_ib(
+    b: usize,
+    ib: usize,
+    v2: &[f64],
+    t: &[f64],
+    a1: &mut [f64],
+    a2: &mut [f64],
+    trans: Trans,
+) {
+    stacked_mqr_ib(b, ib, v2, t, a1, a2, trans, true);
+}
+
+/// [`unmqr_ib`] with one panel (`ib = b`).
+pub fn unmqr(b: usize, v: &[f64], t: &[f64], c: &mut [f64], trans: Trans) {
+    unmqr_ib(b, b, v, t, c, trans);
+}
+
+/// [`tsmqr_ib`] with one panel (`ib = b`).
 pub fn tsmqr(b: usize, v2: &[f64], t: &[f64], a1: &mut [f64], a2: &mut [f64], trans: Trans) {
-    stacked_mqr(simd_arm(), b, v2, t, a1, a2, trans, false);
+    tsmqr_ib(b, b, v2, t, a1, a2, trans);
 }
 
-/// [`tsmqr`] on an explicit dispatch arm (parity tests and benches).
-pub fn tsmqr_arm(
-    arm: SimdArm,
-    b: usize,
-    v2: &[f64],
-    t: &[f64],
-    a1: &mut [f64],
-    a2: &mut [f64],
-    trans: Trans,
-) {
-    stacked_mqr(arm, b, v2, t, a1, a2, trans, false);
-}
-
-/// Apply op(Q) of a [`crate::ttqrt`] to the stacked tile pair `[A1; A2]`
-/// (PLASMA `CORE_dttmqr`). `v2` is upper triangular; only its upper part is
-/// read, which is what makes TTMQR weight 6 versus TSMQR's 12.
+/// [`ttmqr_ib`] with one panel (`ib = b`).
 pub fn ttmqr(b: usize, v2: &[f64], t: &[f64], a1: &mut [f64], a2: &mut [f64], trans: Trans) {
-    stacked_mqr(simd_arm(), b, v2, t, a1, a2, trans, true);
-}
-
-/// [`ttmqr`] on an explicit dispatch arm (parity tests and benches).
-pub fn ttmqr_arm(
-    arm: SimdArm,
-    b: usize,
-    v2: &[f64],
-    t: &[f64],
-    a1: &mut [f64],
-    a2: &mut [f64],
-    trans: Trans,
-) {
-    stacked_mqr(arm, b, v2, t, a1, a2, trans, true);
+    ttmqr_ib(b, b, v2, t, a1, a2, trans);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factor::{geqrt, tsqrt, ttqrt};
+    use crate::factor::{geqrt, tsqrt, ttqrt, ttqrt_ib};
     use hqr_tile::DenseMatrix;
 
     const B: usize = 6;
@@ -290,6 +357,49 @@ mod tests {
         ttmqr(B, &v2_poison, &t, &mut c1p, &mut c2p, Trans::Trans);
         assert_eq!(c1, c1p);
         assert_eq!(c2, c2p);
+    }
+
+    #[test]
+    fn tt_kernels_never_touch_the_dead_lower_triangle_at_any_ib() {
+        const N: usize = 8;
+        let tile = |seed| DenseMatrix::random(N, N, seed).data().to_vec();
+        let upper_n = |a: &[f64]| {
+            let mut u = vec![0.0; N * N];
+            for j in 0..N {
+                u[j * N..j * N + j + 1].copy_from_slice(&a[j * N..j * N + j + 1]);
+            }
+            u
+        };
+        let poison = |a: &mut [f64]| {
+            for j in 0..N {
+                a[j * N + j + 1..(j + 1) * N].fill(f64::NAN);
+            }
+        };
+        let (r1, r2) = (upper_n(&tile(50)), upper_n(&tile(51)));
+        let (c1_0, c2_0) = (tile(52), tile(53));
+        for ib in [1, 3, N / 2, N] {
+            // The factor kernel neither reads nor writes A2's NaN triangle.
+            let (mut a1, mut a2, mut t) = (r1.clone(), r2.clone(), vec![0.0; N * N]);
+            poison(&mut a2);
+            ttqrt_ib(N, ib, &mut a1, &mut a2, &mut t);
+            for j in 0..N {
+                assert!(a2[j * N + j + 1..(j + 1) * N].iter().all(|x| x.is_nan()), "ib={ib}");
+                assert!(a1[j * N..j * N + j + 1].iter().all(|x| x.is_finite()), "ib={ib}");
+            }
+            // The update kernel gives the same bits with V2's dead
+            // triangle poisoned or zeroed, and Q·Qᵀ round-trips.
+            let clean = upper_n(&a2);
+            let (mut c1, mut c2) = (c1_0.clone(), c2_0.clone());
+            let (mut p1, mut p2) = (c1_0.clone(), c2_0.clone());
+            ttmqr_ib(N, ib, &clean, &t, &mut c1, &mut c2, Trans::Trans);
+            ttmqr_ib(N, ib, &a2, &t, &mut p1, &mut p2, Trans::Trans);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!((bits(&c1), bits(&c2)), (bits(&p1), bits(&p2)), "ib={ib}");
+            ttmqr_ib(N, ib, &a2, &t, &mut p1, &mut p2, Trans::NoTrans);
+            let d1: Vec<f64> = p1.iter().zip(&c1_0).map(|(a, b)| a - b).collect();
+            let d2: Vec<f64> = p2.iter().zip(&c2_0).map(|(a, b)| a - b).collect();
+            assert!(norm(&d1) < 1e-12 && norm(&d2) < 1e-12, "ib={ib}");
+        }
     }
 
     #[test]

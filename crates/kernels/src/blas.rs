@@ -9,7 +9,7 @@
 //! historically tolerated oversized buffers and silently indexed the
 //! leading block.
 
-use crate::micro::{gemm_core, simd_arm, MaskA, SimdArm};
+use crate::micro::{gemm_core, simd_arm, MaskA};
 use crate::KernelError;
 use crate::Trans;
 
@@ -17,24 +17,6 @@ use crate::Trans;
 /// `a` is `m × k` (after op), `b` is `k × n` (after op), `c` is `m × n`.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    ta: Trans,
-    b: &[f64],
-    tb: Trans,
-    beta: f64,
-    c: &mut [f64],
-) {
-    gemm_arm(simd_arm(), m, n, k, alpha, a, ta, b, tb, beta, c);
-}
-
-/// [`gemm`] on an explicit dispatch arm (parity tests and benches).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_arm(
-    arm: SimdArm,
     m: usize,
     n: usize,
     k: usize,
@@ -84,7 +66,7 @@ pub fn gemm_arm(
             &bpack
         }
     };
-    gemm_core(arm, m, n, k, alpha, an, m, MaskA::Full, bn, k, beta, c, m);
+    gemm_core(simd_arm(), m, n, k, alpha, an, m, MaskA::Full, bn, k, beta, c, m);
 }
 
 /// Solve R·X = B in place (X overwrites B), where `r` is the upper
@@ -167,26 +149,17 @@ mod tests {
     #[test]
     fn gemm_large_shapes_match_reference_on_both_arms() {
         // Exercise the register-block tails (m, n not multiples of 8/4).
-        use crate::micro::SimdArm;
+        use crate::micro::{simd_detected, with_arm, SimdArm};
         for &(m, n, k) in &[(17usize, 9usize, 13usize), (64, 64, 64), (33, 5, 21)] {
             let a = DenseMatrix::random(m, k, 91);
             let b = DenseMatrix::random(k, n, 92);
             let expect = a.matmul(&b);
-            for arm in [SimdArm::Scalar, crate::micro::simd_detected()] {
+            for arm in [SimdArm::Scalar, simd_detected()] {
                 let mut c = vec![0.0; m * n];
-                gemm_arm(
-                    arm,
-                    m,
-                    n,
-                    k,
-                    1.0,
-                    a.data(),
-                    Trans::NoTrans,
-                    b.data(),
-                    Trans::NoTrans,
-                    0.0,
-                    &mut c,
-                );
+                with_arm(arm, || {
+                    let (a, b) = (a.data(), b.data());
+                    gemm(m, n, k, 1.0, a, Trans::NoTrans, b, Trans::NoTrans, 0.0, &mut c)
+                });
                 assert!(max_abs_diff(&c, expect.data()) < 1e-11 * (k as f64));
             }
         }

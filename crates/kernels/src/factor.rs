@@ -1,136 +1,180 @@
 //! Factorization kernels: GEQRT, TSQRT, TTQRT.
+//!
+//! Each factors the tile in column panels of width `ib` (PLASMA's inner
+//! block size): the panel's columns are reduced with level-2 updates
+//! while its T factor is built, then the panel's block reflector is
+//! applied to the trailing columns through the shared gemm core
+//! ([`crate::apply`]). `ib = b` is the one-panel case with no trailing
+//! apply — the plain unblocked kernel.
 
-use crate::check_tile;
+use crate::apply::{apply_stacked_panel, apply_unit_lower_panel};
 use crate::larfg::larfg;
+use crate::micro::simd_arm;
+use crate::{check_ib, check_tile, panels, Trans};
 
-/// QR factorization of a square `b × b` tile (PLASMA `CORE_dgeqrt`).
+/// QR factorization of a square `b × b` tile (PLASMA `CORE_dgeqrt`) with
+/// inner block size `ib`.
 ///
 /// On exit, `a` holds R in its upper triangle (diagonal included) and the
 /// Householder vectors V in its strict lower triangle (unit diagonal
-/// implicit); `t` holds the upper-triangular block-reflector factor T, with
-/// the τ values on its diagonal, such that Q = I − V·T·Vᵀ and A = Q·R.
-pub fn geqrt(b: usize, a: &mut [f64], t: &mut [f64]) {
+/// implicit); `t` holds the T factors of the panels, such that
+/// Q = Π (I − V_p·T_p·V_pᵀ) and A = Q·R. The T factor of the panel at
+/// columns `s..s+w` is the `w × w` upper triangle at rows `0..w`, columns
+/// `s..s+w` of `t`; for `ib = b` that is the whole T, τ on its diagonal.
+pub fn geqrt_ib(b: usize, ib: usize, a: &mut [f64], t: &mut [f64]) {
     check_tile(b, a);
     check_tile(b, t);
+    check_ib(b, ib);
     t.fill(0.0);
-    for j in 0..b {
-        let cj = j * b;
-        // Generate the reflector annihilating a[j+1.., j].
-        let (beta, tau) = {
-            let alpha = a[cj + j];
-            let (head, tail) = a.split_at_mut(cj + j + 1);
-            debug_assert_eq!(head.len(), cj + j + 1);
-            let x = &mut tail[..b - j - 1];
-            larfg(alpha, x)
-        };
-        a[cj + j] = beta;
-        // Apply H_j = I − τ v vᵀ to the trailing columns (v = [1; a[j+1.., j]]).
-        for l in (j + 1)..b {
-            let cl = l * b;
-            let mut w = a[cl + j];
-            for i in (j + 1)..b {
-                w += a[cj + i] * a[cl + i];
+    for (s, e) in panels(b, ib) {
+        for j in s..e {
+            let cj = j * b;
+            // Generate the reflector annihilating a[j+1.., j].
+            let (beta, tau) = {
+                let alpha = a[cj + j];
+                let (_, tail) = a.split_at_mut(cj + j + 1);
+                larfg(alpha, &mut tail[..b - j - 1])
+            };
+            a[cj + j] = beta;
+            // Apply H_j = I − τ v vᵀ to the panel's later columns.
+            for l in (j + 1)..e {
+                let cl = l * b;
+                let mut wv = a[cl + j];
+                for i in (j + 1)..b {
+                    wv += a[cj + i] * a[cl + i];
+                }
+                wv *= tau;
+                a[cl + j] -= wv;
+                for i in (j + 1)..b {
+                    a[cl + i] -= wv * a[cj + i];
+                }
             }
-            w *= tau;
-            a[cl + j] -= w;
-            for i in (j + 1)..b {
-                a[cl + i] -= w * a[cj + i];
+            // T_p(0..jj, jj) = −τ·T_p·(Vᵀ v_j) with jj = j − s.
+            let jj = j - s;
+            for i in 0..jj {
+                let ci = (s + i) * b;
+                let mut z = a[ci + j];
+                for r in (j + 1)..b {
+                    z += a[ci + r] * a[cj + r];
+                }
+                t[i + cj] = z;
             }
+            // In-place upper-triangular matvec; ascending i only
+            // overwrites entries later iterations never read.
+            for i in 0..jj {
+                let mut y = 0.0;
+                for r in i..jj {
+                    y += t[i + (s + r) * b] * t[r + cj];
+                }
+                t[i + cj] = -tau * y;
+            }
+            t[jj + cj] = tau;
         }
-        // T(0..j, j) = −τ · T(0..j, 0..j) · (Vᵀ v_j); T(j, j) = τ.
-        // z_i = (V[:,i])ᵀ v_j = a[j, i] + Σ_{r>j} a[r, i]·a[r, j]   (i < j)
-        for i in 0..j {
-            let ci = i * b;
-            let mut z = a[ci + j];
-            for r in (j + 1)..b {
-                z += a[ci + r] * a[cj + r];
-            }
-            t[j * b + i] = z;
+        if e < b {
+            let (v, trail) = a.split_at_mut(e * b);
+            let c = &mut trail[s..];
+            apply_unit_lower_panel(simd_arm(), b, s, e - s, v, t, c, b - e, Trans::Trans);
         }
-        // In-place upper-triangular matvec: y_i = Σ_{r=i..j-1} T[i,r]·z_r.
-        // Ascending i only overwrites entries later iterations never read.
-        for i in 0..j {
-            let mut y = 0.0;
-            for r in i..j {
-                y += t[r * b + i] * t[j * b + r];
-            }
-            t[j * b + i] = -tau * y;
-        }
-        t[j * b + j] = tau;
     }
 }
 
-/// Shared implementation of TSQRT/TTQRT: QR of a triangle stacked on a
-/// second tile. `tri_bottom` selects the bottom tile's structure: `false`
-/// for a full square (TS), `true` for an upper triangle (TT), in which case
-/// column `j` of the bottom tile only has rows `0..=j` active — the source
-/// of the 3× flop saving of TT kernels.
-fn stacked_qrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64], tri_bottom: bool) {
+/// Shared TSQRT/TTQRT: QR of a triangle stacked on a second tile. `tri`
+/// selects the bottom tile's structure: `false` for a full square (TS),
+/// `true` for an upper triangle (TT), in which case column `j` of the
+/// bottom tile only has rows `0..=j` active — the source of the 3× flop
+/// saving of TT kernels.
+fn stacked_qrt_ib(b: usize, ib: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64], tri: bool) {
     check_tile(b, a1);
     check_tile(b, a2);
     check_tile(b, t);
-    let support = |col: usize| if tri_bottom { col + 1 } else { b };
+    check_ib(b, ib);
+    let support = |col: usize| if tri { col + 1 } else { b };
     t.fill(0.0);
-    for j in 0..b {
-        let cj = j * b;
-        let blen = support(j);
-        // Reflector on [a1[j,j]; a2[0..blen, j]]: the top part of v is e_j
-        // because rows j+1..b of column j in the stacked triangle are zero.
-        let (beta, tau) = larfg(a1[j + cj], &mut a2[cj..cj + blen]);
-        a1[j + cj] = beta;
-        // Update trailing columns l > j of the stacked pair.
-        for l in (j + 1)..b {
-            let cl = l * b;
-            let mut w = a1[j + cl];
-            for i in 0..blen {
-                w += a2[cj + i] * a2[cl + i];
+    for (s, e) in panels(b, ib) {
+        for j in s..e {
+            let cj = j * b;
+            let blen = support(j);
+            // Reflector on [a1[j,j]; a2[0..blen, j]]: the top part of v is
+            // e_j because rows below j of the stacked triangle are zero.
+            let (beta, tau) = larfg(a1[j + cj], &mut a2[cj..cj + blen]);
+            a1[j + cj] = beta;
+            for l in (j + 1)..e {
+                let cl = l * b;
+                let mut wv = a1[j + cl];
+                for i in 0..blen {
+                    wv += a2[cj + i] * a2[cl + i];
+                }
+                wv *= tau;
+                a1[j + cl] -= wv;
+                for i in 0..blen {
+                    a2[cl + i] -= wv * a2[cj + i];
+                }
             }
-            w *= tau;
-            a1[j + cl] -= w;
-            for i in 0..blen {
-                a2[cl + i] -= w * a2[cj + i];
+            // The top blocks of V̂ are disjoint unit vectors, so only the
+            // bottom parts contribute: z_i = v2_iᵀ · v2_j.
+            let jj = j - s;
+            for i in 0..jj {
+                let sup = support(s + i).min(blen);
+                let ci = (s + i) * b;
+                let mut z = 0.0;
+                for r in 0..sup {
+                    z += a2[ci + r] * a2[cj + r];
+                }
+                t[i + cj] = z;
             }
+            for i in 0..jj {
+                let mut y = 0.0;
+                for r in i..jj {
+                    y += t[i + (s + r) * b] * t[r + cj];
+                }
+                t[i + cj] = -tau * y;
+            }
+            t[jj + cj] = tau;
         }
-        // T(0..j, j) = −τ·T·(V̂ᵀ v̂_j). Top blocks are disjoint unit vectors,
-        // so only the bottom parts contribute: z_i = v2_iᵀ · v2_j.
-        for i in 0..j {
-            let sup = support(i).min(blen);
-            let ci = i * b;
-            let mut z = 0.0;
-            for r in 0..sup {
-                z += a2[ci + r] * a2[cj + r];
-            }
-            t[cj + i] = z;
+        if e < b {
+            let (v2, a2t) = a2.split_at_mut(e * b);
+            let a1t = &mut a1[e * b..];
+            apply_stacked_panel(simd_arm(), b, s, e - s, v2, t, a1t, a2t, b - e, Trans::Trans, tri);
         }
-        for i in 0..j {
-            let mut y = 0.0;
-            for r in i..j {
-                y += t[r * b + i] * t[cj + r];
-            }
-            t[cj + i] = -tau * y;
-        }
-        t[cj + j] = tau;
     }
 }
 
-/// TSQRT (PLASMA `CORE_dtsqrt`): QR of `[A1; A2]` where `A1` is the upper
-/// triangle produced by a previous GEQRT/TSQRT on the pivot row and `A2` is
-/// a full square tile of the victim row.
+/// TSQRT (PLASMA `CORE_dtsqrt`) with inner block size `ib`: QR of
+/// `[A1; A2]` where `A1` is the upper triangle produced by a previous
+/// GEQRT/TSQRT on the pivot row and `A2` is a full square tile of the
+/// victim row.
 ///
 /// On exit `A1` holds the updated R, `A2` holds the (full square) block of
-/// Householder vectors V2, and `t` the block-reflector factor for
-/// Q = I − V̂·T·V̂ᵀ with V̂ = [I; V2]. The strict lower triangle of `A1`
-/// (which stores unrelated V data from GEQRT) is left untouched.
-pub fn tsqrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
-    stacked_qrt(b, a1, a2, t, false);
+/// Householder vectors V2, and `t` the panel T factors (laid out as in
+/// [`geqrt_ib`]) for Q = I − V̂·T·V̂ᵀ with V̂ = [I; V2]. The strict lower
+/// triangle of `A1` (which stores unrelated V data from GEQRT) is left
+/// untouched.
+pub fn tsqrt_ib(b: usize, ib: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
+    stacked_qrt_ib(b, ib, a1, a2, t, false);
 }
 
-/// TTQRT (PLASMA `CORE_dttqrt`): QR of `[A1; A2]` where **both** tiles are
-/// upper triangular (two killers meeting). `A2`'s strict lower triangle is
-/// preserved; V2 is upper triangular, which is what makes this kernel cost
-/// weight 2 instead of TSQRT's 6.
+/// TTQRT (PLASMA `CORE_dttqrt`) with inner block size `ib`: QR of
+/// `[A1; A2]` where **both** tiles are upper triangular (two killers
+/// meeting). `A2`'s strict lower triangle is preserved; V2 is upper
+/// triangular, which is what makes this kernel cost weight 2 instead of
+/// TSQRT's 6.
+pub fn ttqrt_ib(b: usize, ib: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
+    stacked_qrt_ib(b, ib, a1, a2, t, true);
+}
+
+/// [`geqrt_ib`] with one panel (`ib = b`).
+pub fn geqrt(b: usize, a: &mut [f64], t: &mut [f64]) {
+    geqrt_ib(b, b, a, t);
+}
+
+/// [`tsqrt_ib`] with one panel (`ib = b`).
+pub fn tsqrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
+    tsqrt_ib(b, b, a1, a2, t);
+}
+
+/// [`ttqrt_ib`] with one panel (`ib = b`).
 pub fn ttqrt(b: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [f64]) {
-    stacked_qrt(b, a1, a2, t, true);
+    ttqrt_ib(b, b, a1, a2, t);
 }
 
 #[cfg(test)]

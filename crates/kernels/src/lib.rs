@@ -6,12 +6,20 @@
 //!
 //! | kernel | operation | weight (b³/3 flops) |
 //! |---|---|---|
-//! | [`geqrt`]  | QR of a square tile: A → (V, R), T | 4 |
-//! | [`unmqr`]  | apply op(Q) of a GEQRT to a tile | 6 |
-//! | [`tsqrt`]  | QR of [R; A] (triangle on top of square) | 6 |
-//! | [`tsmqr`]  | apply op(Q) of a TSQRT to a tile pair | 12 |
-//! | [`ttqrt`]  | QR of [R; R] (triangle on top of triangle) | 2 |
-//! | [`ttmqr`]  | apply op(Q) of a TTQRT to a tile pair | 6 |
+//! | [`geqrt_ib`]  | QR of a square tile: A → (V, R), T | 4 |
+//! | [`unmqr_ib`]  | apply op(Q) of a GEQRT to a tile | 6 |
+//! | [`tsqrt_ib`]  | QR of [R; A] (triangle on top of square) | 6 |
+//! | [`tsmqr_ib`]  | apply op(Q) of a TSQRT to a tile pair | 12 |
+//! | [`ttqrt_ib`]  | QR of [R; R] (triangle on top of triangle) | 2 |
+//! | [`ttmqr_ib`]  | apply op(Q) of a TTQRT to a tile pair | 6 |
+//!
+//! There is one implementation of each: PLASMA's inner-blocked kernel,
+//! which splits the tile into column panels of width `ib` (its inner
+//! block size). The unblocked kernel is the one-panel case `ib = b`;
+//! [`geqrt`], [`unmqr`], [`tsqrt`], [`tsmqr`], [`ttqrt`] and [`ttmqr`]
+//! are exactly those calls. Every level-3 step runs on the shared gemm
+//! core in [`micro`], dispatched once per process to a scalar or an
+//! AVX2/FMA arm ([`simd_arm`]; [`with_arm`] pins one for a closure).
 //!
 //! All tiles are square `b × b`, column-major slices of length `b²`.
 //! TT kernels exploit the triangular structure of the second tile and so
@@ -24,7 +32,8 @@
 //! Q = I − V·T·Vᵀ (V unit lower triangular, T upper triangular);
 //! applying `Trans` computes Qᵀ·C (used during factorization, since
 //! R = Qᵀ·A), `NoTrans` computes Q·C (used to rebuild Q against the
-//! identity, as the paper's checks do).
+//! identity, as the paper's checks do). An update kernel must be given
+//! the `ib` its factor kernel ran with.
 //!
 //! ```
 //! use hqr_kernels::{geqrt, unmqr, Trans};
@@ -45,7 +54,6 @@
 
 mod apply;
 pub mod blas;
-pub mod blocked;
 mod error;
 mod factor;
 mod larfg;
@@ -53,10 +61,10 @@ pub mod micro;
 pub mod reference;
 pub mod weights;
 
-pub use apply::{tsmqr, tsmqr_arm, ttmqr, ttmqr_arm, unmqr, unmqr_arm};
+pub use apply::{tsmqr, tsmqr_ib, ttmqr, ttmqr_ib, unmqr, unmqr_ib};
 pub use error::KernelError;
-pub use factor::{geqrt, tsqrt, ttqrt};
-pub use micro::{simd_arm, simd_description, simd_detected, SimdArm};
+pub use factor::{geqrt, geqrt_ib, tsqrt, tsqrt_ib, ttqrt, ttqrt_ib};
+pub use micro::{simd_arm, simd_description, simd_detected, with_arm, SimdArm};
 pub use weights::{KernelClass, KernelKind};
 
 /// Whether to apply `Q` or `Qᵀ`.
@@ -71,4 +79,14 @@ pub enum Trans {
 #[inline]
 pub(crate) fn check_tile(b: usize, t: &[f64]) {
     assert_eq!(t.len(), b * b, "tile must be b*b = {} elements, got {}", b * b, t.len());
+}
+
+#[inline]
+pub(crate) fn check_ib(b: usize, ib: usize) {
+    assert!(ib > 0 && ib <= b, "inner block size must be in 1..=b (got {ib} for b={b})");
+}
+
+/// Column panels `(start, end)` of width `ib` covering a `b`-wide tile.
+pub(crate) fn panels(b: usize, ib: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..b).step_by(ib).map(move |s| (s, (s + ib).min(b)))
 }

@@ -21,7 +21,8 @@
 //! The arm is chosen **once per process** ([`simd_arm`], a `OnceLock`):
 //! runtime feature detection, overridable with `HQR_SIMD=off|scalar`
 //! (force the portable arm) or `HQR_SIMD=avx2` (force the vector arm,
-//! falling back with a warning if the CPU lacks it). A fixed arm plus
+//! falling back with a warning if the CPU lacks it). Parity tests and
+//! benches pin an arm for one closure with [`with_arm`]. A fixed arm plus
 //! input-independent control flow (no data-dependent early-outs
 //! anywhere in the core) makes every kernel bitwise deterministic
 //! run-to-run on the same machine — the property the checkpoint-resume
@@ -29,6 +30,7 @@
 //! to rounding (FMA contracts the multiply-add), which is why
 //! cross-arm tests are tolerance-based while same-arm tests are exact.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// A dispatch arm of the microkernel.
@@ -87,9 +89,36 @@ fn dispatch() -> &'static (SimdArm, &'static str) {
     ARM.get_or_init(resolve_arm)
 }
 
-/// The arm every public kernel entry point uses, selected once at startup.
+thread_local! {
+    static PINNED: Cell<Option<SimdArm>> = const { Cell::new(None) };
+}
+
+/// The arm every public kernel entry point uses: the one selected once at
+/// startup, unless [`with_arm`] pins another on this thread.
 pub fn simd_arm() -> SimdArm {
-    dispatch().0
+    PINNED.with(Cell::get).unwrap_or_else(|| dispatch().0)
+}
+
+/// Run `f` with every kernel call on this thread dispatched to `arm`
+/// (parity tests and benches); the previous arm is restored afterwards,
+/// also on unwind.
+///
+/// # Panics
+/// If `arm` is [`SimdArm::Avx2`] and the CPU lacks avx2+fma.
+pub fn with_arm<R>(arm: SimdArm, f: impl FnOnce() -> R) -> R {
+    assert!(
+        arm == SimdArm::Scalar || simd_detected() == arm,
+        "with_arm: the CPU does not support the {} arm",
+        arm.name()
+    );
+    struct Restore(Option<SimdArm>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PINNED.with(|p| p.set(self.0));
+        }
+    }
+    let _restore = Restore(PINNED.with(|p| p.replace(Some(arm))));
+    f()
 }
 
 /// Human-readable dispatch description, e.g. `"avx2 (runtime-detected)"`.
@@ -101,15 +130,18 @@ pub fn simd_description() -> String {
 /// Structure of the `A` operand: which `(i, l)` entries may be nonzero.
 /// Masked-out entries are never read by the scalar arm and are read but
 /// guaranteed zero (callers pack-clean their buffers) by the block-granular
-/// AVX2 arm, so both arms skip the corresponding flops.
+/// AVX2 arm, so both arms skip the corresponding flops. The triangular
+/// masks carry a diagonal offset `o`; `0` is the plain triangle, and a TT
+/// reflector panel starting at tile column `o` has Vᵀ `Lower(o)` and V
+/// `Upper(o)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MaskA {
     /// Dense m×k operand.
     Full,
-    /// Lower triangular including the diagonal: nonzero iff `l <= i`.
-    Lower,
-    /// Upper triangular including the diagonal: nonzero iff `l >= i`.
-    Upper,
+    /// Lower triangular shifted right by `o`: nonzero iff `l <= i + o`.
+    Lower(usize),
+    /// Upper triangular shifted down by `o`: nonzero iff `i <= l + o`.
+    Upper(usize),
 }
 
 impl MaskA {
@@ -119,10 +151,20 @@ impl MaskA {
     fn k_range(self, i0: usize, i1: usize, k: usize) -> (usize, usize) {
         match self {
             MaskA::Full => (0, k),
-            // A[i, l] nonzero iff l <= i: columns 0..=max_i.
-            MaskA::Lower => (0, i1.min(k)),
-            // A[i, l] nonzero iff l >= i: columns min_i onward.
-            MaskA::Upper => (i0.min(k), k),
+            // Columns 0..=max_i + o.
+            MaskA::Lower(o) => (0, (i1 + o).min(k)),
+            // Columns min_i − o onward.
+            MaskA::Upper(o) => (i0.saturating_sub(o).min(k), k),
+        }
+    }
+
+    /// Rows of column `l` of an `m`-row `A` that can be nonzero.
+    #[inline]
+    fn i_range(self, l: usize, m: usize) -> (usize, usize) {
+        match self {
+            MaskA::Full => (0, m),
+            MaskA::Lower(o) => (l.saturating_sub(o).min(m), m),
+            MaskA::Upper(o) => (0, (l + o + 1).min(m)),
         }
     }
 }
@@ -155,7 +197,8 @@ pub(crate) fn gemm_core(
         SimdArm::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the Avx2 arm is only ever selected when runtime
-            // detection confirmed avx2+fma (see `resolve_arm`).
+            // detection confirmed avx2+fma (see `resolve_arm` and the
+            // assert in `with_arm`).
             unsafe {
                 avx2::gemm(m, n, k, alpha, a, lda, mask, b, ldb, beta, c, ldc)
             }
@@ -194,12 +237,7 @@ fn gemm_scalar(
         }
         for l in 0..k {
             let blj = alpha * b[l + j * ldb];
-            // Rows of column l of A that can be nonzero under the mask.
-            let (i0, i1) = match mask {
-                MaskA::Full => (0, m),
-                MaskA::Lower => (l.min(m), m),
-                MaskA::Upper => (0, (l + 1).min(m)),
-            };
+            let (i0, i1) = mask.i_range(l, m);
             let al = &a[l * lda..l * lda + m];
             for i in i0..i1 {
                 ccol[i] += blj * al[i];
@@ -391,12 +429,7 @@ mod tests {
             for i in 0..m {
                 let mut s = 0.0;
                 for l in 0..k {
-                    let live = match mask {
-                        MaskA::Full => true,
-                        MaskA::Lower => l <= i,
-                        MaskA::Upper => l >= i,
-                    };
-                    if live {
+                    if live(mask, i, l) {
                         s += a[i + l * lda] * b[l + j * ldb];
                     }
                 }
@@ -406,17 +439,21 @@ mod tests {
         out
     }
 
+    /// Whether `A[i, l]` may be nonzero under `mask`.
+    fn live(mask: MaskA, i: usize, l: usize) -> bool {
+        match mask {
+            MaskA::Full => true,
+            MaskA::Lower(o) => l <= i + o,
+            MaskA::Upper(o) => i <= l + o,
+        }
+    }
+
     fn masked_fill(m: usize, k: usize, mask: MaskA, seed: u64) -> Vec<f64> {
         let full = DenseMatrix::random(m, k, seed).data().to_vec();
         let mut out = vec![0.0; m * k];
         for l in 0..k {
             for i in 0..m {
-                let live = match mask {
-                    MaskA::Full => true,
-                    MaskA::Lower => l <= i,
-                    MaskA::Upper => l >= i,
-                };
-                if live {
+                if live(mask, i, l) {
                     out[i + l * m] = full[i + l * m];
                 }
             }
@@ -455,7 +492,10 @@ mod tests {
                 (24, 9, 17),
                 (33, 13, 33),
             ] {
-                for &mask in &[MaskA::Full, MaskA::Lower, MaskA::Upper] {
+                for mask in [MaskA::Full, MaskA::Lower(0), MaskA::Upper(0)]
+                    .into_iter()
+                    .chain([3, 9].into_iter().flat_map(|o| [MaskA::Lower(o), MaskA::Upper(o)]))
+                {
                     for &(alpha, beta) in &[(1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (2.5, -0.5)] {
                         check(arm, m, n, k, mask, alpha, beta);
                     }
@@ -469,18 +509,20 @@ mod tests {
         // Poison the masked-out triangle: the scalar arm's exact row
         // trimming must never touch it.
         let (m, k, n) = (9usize, 9usize, 4usize);
-        let mut a = masked_fill(m, k, MaskA::Lower, 7);
-        for l in 0..k {
-            for i in 0..m {
-                if l > i {
-                    a[i + l * m] = f64::NAN;
+        for mask in [MaskA::Lower(0), MaskA::Upper(0), MaskA::Lower(3), MaskA::Upper(3)] {
+            let mut a = masked_fill(m, k, mask, 7);
+            for l in 0..k {
+                for i in 0..m {
+                    if !live(mask, i, l) {
+                        a[i + l * m] = f64::NAN;
+                    }
                 }
             }
+            let b = DenseMatrix::random(k, n, 8).data().to_vec();
+            let mut c = vec![0.0; m * n];
+            gemm_core(SimdArm::Scalar, m, n, k, 1.0, &a, m, mask, &b, k, 0.0, &mut c, m);
+            assert!(c.iter().all(|x| x.is_finite()), "{mask:?} read a dead entry");
         }
-        let b = DenseMatrix::random(k, n, 8).data().to_vec();
-        let mut c = vec![0.0; m * n];
-        gemm_core(SimdArm::Scalar, m, n, k, 1.0, &a, m, MaskA::Lower, &b, k, 0.0, &mut c, m);
-        assert!(c.iter().all(|x| x.is_finite()));
     }
 
     #[test]
@@ -497,6 +539,20 @@ mod tests {
             let bits2: Vec<u64> = c2.iter().map(|x| x.to_bits()).collect();
             assert_eq!(bits1, bits2, "{arm:?} not run-to-run deterministic");
         }
+    }
+
+    #[test]
+    fn with_arm_pins_and_restores_the_thread_arm() {
+        let before = simd_arm();
+        let inner = with_arm(SimdArm::Scalar, || {
+            let nested = with_arm(simd_detected(), simd_arm);
+            (simd_arm(), nested)
+        });
+        assert_eq!(inner, (SimdArm::Scalar, simd_detected()));
+        assert_eq!(simd_arm(), before);
+        let unwound = std::panic::catch_unwind(|| with_arm(SimdArm::Scalar, || panic!("boom")));
+        assert!(unwound.is_err());
+        assert_eq!(simd_arm(), before, "restored on unwind");
     }
 
     #[test]

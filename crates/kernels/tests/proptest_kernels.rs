@@ -1,8 +1,10 @@
 //! Property-based tests of the tile kernels: structural and numerical
 //! invariants over random tiles, tile sizes and inner block sizes.
 
-use hqr_kernels::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, unmqr_ib};
-use hqr_kernels::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, Trans};
+use hqr_kernels::reference::dense_householder_qr;
+use hqr_kernels::{
+    geqrt, geqrt_ib, tsmqr, tsmqr_ib, tsqrt, tsqrt_ib, ttmqr, ttqrt, unmqr, unmqr_ib, Trans,
+};
 use hqr_tile::{DenseMatrix, TileGuard};
 use proptest::prelude::*;
 
@@ -109,8 +111,9 @@ proptest! {
         prop_assert!((before - after).abs() < 1e-11 * before.max(1.0));
     }
 
-    /// Inner-blocked kernels compute the same V and R as the unblocked
-    /// ones for every valid ib.
+    /// Every inner block size ib < b computes the same V and R as the
+    /// one-panel case ib = b, and that R matches the independent dense
+    /// Householder reference (same LAPACK sign convention).
     #[test]
     fn blocked_matches_unblocked(b in 2usize..14, ib_frac in 1usize..14, seed in any::<u64>()) {
         let ib = (ib_frac % b).max(1);
@@ -121,6 +124,11 @@ proptest! {
         geqrt_ib(b, ib, &mut a_ib, &mut t_ib);
         let diff: Vec<f64> = a_ref.iter().zip(&a_ib).map(|(x, y)| x - y).collect();
         prop_assert!(norm(&diff) < 1e-10 * norm(&a0).max(1.0), "ib={ib} b={b}");
+        let (_, r_dense) = dense_householder_qr(&DenseMatrix::from_col_major(b, b, &a0));
+        let r_dense = r_dense.data().to_vec();
+        let gap: Vec<f64> =
+            upper(b, &a_ib).iter().zip(&upper(b, &r_dense)).map(|(x, y)| x - y).collect();
+        prop_assert!(norm(&gap) < 1e-10 * norm(&a0).max(1.0), "ib={ib} b={b} vs dense R");
     }
 
     /// Blocked TSQRT + blocked apply roundtrips.
@@ -204,10 +212,9 @@ proptest! {
         );
     }
 
-    /// Blocked UNMQR agrees with unblocked UNMQR when fed the same
-    /// factorization (V identical, T layouts coincide for the shared
-    /// panels only when ib divides evenly — so compare end results of
-    /// applying the full Q).
+    /// UNMQR at ib < b agrees with UNMQR at ib = b when each is fed its
+    /// own factorization (V identical, T layouts differ — so compare end
+    /// results of applying the full Q), and Qᵀ·A reproduces the dense R.
     #[test]
     fn blocked_apply_agrees(b in 2usize..12, ib_frac in 1usize..12, seed in any::<u64>()) {
         let ib = (ib_frac % b).max(1);
@@ -223,5 +230,10 @@ proptest! {
         unmqr_ib(b, ib, &a_b, &t_b, &mut cb, Trans::Trans);
         let d: Vec<f64> = cu.iter().zip(&cb).map(|(x, y)| x - y).collect();
         prop_assert!(norm(&d) < 1e-10 * norm(&c0).max(1.0), "ib={ib} b={b}");
+        let mut qta = a0.clone();
+        unmqr_ib(b, ib, &a_b, &t_b, &mut qta, Trans::Trans);
+        let (_, r_dense) = dense_householder_qr(&DenseMatrix::from_col_major(b, b, &a0));
+        let gap: Vec<f64> = qta.iter().zip(r_dense.data()).map(|(x, y)| x - y).collect();
+        prop_assert!(norm(&gap) < 1e-10 * norm(&a0).max(1.0), "ib={ib} b={b} vs dense R");
     }
 }

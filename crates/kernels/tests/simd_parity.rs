@@ -12,11 +12,11 @@
 //! parity checks degenerate to exact self-comparison (still meaningful
 //! for the determinism half).
 
-use hqr_kernels::blocked::{
-    geqrt_ib_arm, tsmqr_ib_arm, tsqrt_ib_arm, ttmqr_ib_arm, ttqrt_ib_arm, unmqr_ib_arm,
+use hqr_kernels::reference::dense_householder_qr;
+use hqr_kernels::{
+    geqrt, geqrt_ib, simd_detected, tsmqr, tsmqr_ib, tsqrt, tsqrt_ib, ttmqr, ttmqr_ib, ttqrt,
+    ttqrt_ib, unmqr, unmqr_ib, with_arm, SimdArm, Trans,
 };
-use hqr_kernels::micro::simd_detected;
-use hqr_kernels::{geqrt, tsmqr_arm, tsqrt, ttmqr_arm, ttqrt, unmqr_arm, SimdArm, Trans};
 use hqr_tile::DenseMatrix;
 
 const SIZES: &[usize] = &[1, 3, 5, 8, 13, 24, 32];
@@ -62,16 +62,20 @@ fn ib_for(b: usize) -> usize {
 /// Run every kernel entry point once on `arm` from identical inputs and
 /// return all output buffers, concatenated per kernel.
 fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
+    with_arm(arm, || run_all_here(b, seed))
+}
+
+fn run_all_here(b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
     let ib = ib_for(b);
     let mut out: Vec<(&'static str, Vec<f64>)> = Vec::new();
 
-    // GEQRT (factor kernels are arm-independent scalar code) feeds UNMQR.
+    // One-panel kernels (ib = b): GEQRT feeds UNMQR.
     let (mut v, mut t) = (tile(b, seed), vec![0.0; b * b]);
     geqrt(b, &mut v, &mut t);
     let mut c = tile(b, seed ^ 1);
-    unmqr_arm(arm, b, &v, &t, &mut c, Trans::Trans);
+    unmqr(b, &v, &t, &mut c, Trans::Trans);
     let mut c2 = tile(b, seed ^ 2);
-    unmqr_arm(arm, b, &v, &t, &mut c2, Trans::NoTrans);
+    unmqr(b, &v, &t, &mut c2, Trans::NoTrans);
     out.push(("unmqr", [c, c2].concat()));
 
     // TSQRT feeds TSMQR.
@@ -79,7 +83,7 @@ fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
         (upper(b, &tile(b, seed ^ 3)), tile(b, seed ^ 4), vec![0.0; b * b]);
     tsqrt(b, &mut r1, &mut a2, &mut ts);
     let (mut p1, mut p2) = (tile(b, seed ^ 5), tile(b, seed ^ 6));
-    tsmqr_arm(arm, b, &a2, &ts, &mut p1, &mut p2, Trans::Trans);
+    tsmqr(b, &a2, &ts, &mut p1, &mut p2, Trans::Trans);
     out.push(("tsmqr", [p1, p2].concat()));
 
     // TTQRT feeds TTMQR (second tile upper-triangular).
@@ -87,50 +91,38 @@ fn run_all(arm: SimdArm, b: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
         (upper(b, &tile(b, seed ^ 7)), upper(b, &tile(b, seed ^ 8)), vec![0.0; b * b]);
     ttqrt(b, &mut q1, &mut q2, &mut tt);
     let (mut w1, mut w2) = (tile(b, seed ^ 9), tile(b, seed ^ 10));
-    ttmqr_arm(arm, b, &q2, &tt, &mut w1, &mut w2, Trans::Trans);
+    ttmqr(b, &q2, &tt, &mut w1, &mut w2, Trans::Trans);
     out.push(("ttmqr", [w1, w2].concat()));
 
-    // Inner-blocked variants of all six kernels (the IB factor kernels
-    // run their trailing block-applies through the dispatched core).
+    // Several panels (ib < b): the factor kernels run their trailing
+    // block-applies through the dispatched core.
     let (mut gv, mut gt) = (tile(b, seed ^ 11), vec![0.0; b * b]);
-    geqrt_ib_arm(arm, b, ib, &mut gv, &mut gt);
+    geqrt_ib(b, ib, &mut gv, &mut gt);
     let mut gc = tile(b, seed ^ 12);
-    unmqr_ib_arm(arm, b, ib, &gv, &gt, &mut gc, Trans::Trans);
+    unmqr_ib(b, ib, &gv, &gt, &mut gc, Trans::Trans);
     out.push(("geqrt_ib", [gv.clone(), gt.clone()].concat()));
     out.push(("unmqr_ib", gc));
 
     let (mut sr, mut sa, mut st) =
         (upper(b, &tile(b, seed ^ 13)), tile(b, seed ^ 14), vec![0.0; b * b]);
-    tsqrt_ib_arm(arm, b, ib, &mut sr, &mut sa, &mut st);
+    tsqrt_ib(b, ib, &mut sr, &mut sa, &mut st);
     let (mut s1, mut s2) = (tile(b, seed ^ 15), tile(b, seed ^ 16));
-    tsmqr_ib_arm(arm, b, ib, &sa, &st, &mut s1, &mut s2, Trans::Trans);
+    tsmqr_ib(b, ib, &sa, &st, &mut s1, &mut s2, Trans::Trans);
     out.push(("tsqrt_ib", [sr, sa.clone(), st.clone()].concat()));
     out.push(("tsmqr_ib", [s1, s2].concat()));
 
     let (mut tr, mut ta, mut tt2) =
         (upper(b, &tile(b, seed ^ 17)), upper(b, &tile(b, seed ^ 18)), vec![0.0; b * b]);
-    ttqrt_ib_arm(arm, b, ib, &mut tr, &mut ta, &mut tt2);
+    ttqrt_ib(b, ib, &mut tr, &mut ta, &mut tt2);
     let (mut u1, mut u2) = (tile(b, seed ^ 19), tile(b, seed ^ 20));
-    ttmqr_ib_arm(arm, b, ib, &ta, &tt2, &mut u1, &mut u2, Trans::Trans);
+    ttmqr_ib(b, ib, &ta, &tt2, &mut u1, &mut u2, Trans::Trans);
     out.push(("ttqrt_ib", [tr, ta.clone(), tt2.clone()].concat()));
     out.push(("ttmqr_ib", [u1, u2].concat()));
 
     // The BLAS shim rides the same core.
     let (ga, gb) = (tile(b, seed ^ 21), tile(b, seed ^ 22));
     let mut gcm = tile(b, seed ^ 23);
-    hqr_kernels::blas::gemm_arm(
-        arm,
-        b,
-        b,
-        b,
-        1.5,
-        &ga,
-        Trans::NoTrans,
-        &gb,
-        Trans::Trans,
-        -0.5,
-        &mut gcm,
-    );
+    hqr_kernels::blas::gemm(b, b, b, 1.5, &ga, Trans::NoTrans, &gb, Trans::Trans, -0.5, &mut gcm);
     out.push(("gemm", gcm));
 
     out
@@ -165,20 +157,25 @@ fn each_arm_is_bitwise_deterministic_run_to_run() {
 #[test]
 fn ib_factorization_matches_flat_kernels_numerically() {
     // Same V and R up to rounding regardless of inner blocking, on both
-    // arms — guards the panel/trailing split against the flat reference.
+    // arms — guards the panel/trailing split against the one-panel kernel
+    // and against the independent dense Householder reference.
     let det = simd_detected();
     for &b in &[6usize, 12, 24] {
         let a0 = tile(b, 77 + b as u64);
-        let mut flat = a0.clone();
-        let mut tflat = vec![0.0; b * b];
-        geqrt(b, &mut flat, &mut tflat);
+        let (_, r_dense) = dense_householder_qr(&DenseMatrix::from_col_major(b, b, &a0));
+        let r_dense = upper(b, r_dense.data());
         for arm in [SimdArm::Scalar, det] {
-            for ib in [1usize, 2, b / 2, b] {
-                let ib = ib.max(1);
-                let mut ab = a0.clone();
-                let mut tb = vec![0.0; b * b];
-                geqrt_ib_arm(arm, b, ib, &mut ab, &mut tb);
+            let factor = |ib: usize| {
+                let (mut a, mut t) = (a0.clone(), vec![0.0; b * b]);
+                with_arm(arm, || geqrt_ib(b, ib, &mut a, &mut t));
+                a
+            };
+            let flat = factor(b);
+            assert_close(b, &upper(b, &flat), &r_dense, "geqrt R vs dense reference");
+            for ib in [1usize, 2, b / 2] {
+                let ab = factor(ib);
                 assert_close(b, &flat, &ab, "geqrt_ib vs geqrt (V,R)");
+                assert_close(b, &upper(b, &ab), &r_dense, "geqrt_ib R vs dense reference");
             }
         }
     }

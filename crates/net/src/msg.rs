@@ -58,7 +58,7 @@ pub enum Msg {
         nt: u64,
         /// Tile side length.
         b: u64,
-        /// Inner block size (`ib == b` selects unblocked kernels).
+        /// Inner block size the kernels run with.
         ib: u64,
     },
     /// Worker acknowledges the run configuration.

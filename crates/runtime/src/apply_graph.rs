@@ -16,8 +16,7 @@ use crossbeam_utils::Backoff;
 
 use crate::elim::ElimOp;
 use crate::exec::TFactors;
-use hqr_kernels::blocked::{tsmqr_ib, ttmqr_ib, unmqr_ib};
-use hqr_kernels::{tsmqr, ttmqr, unmqr, Trans};
+use hqr_kernels::{tsmqr_ib, ttmqr_ib, unmqr_ib, Trans};
 use hqr_tile::TiledMatrix;
 
 /// One kernel application in the apply-Q DAG.
@@ -203,30 +202,21 @@ impl CStore {
 }
 
 fn run_apply_task(t: &ApplyTask, src: &ApplySources<'_>, c: &CStore) {
-    let b = src.factored.b();
-    let blocked = src.ib < b;
+    let (b, ib) = (src.factored.b(), src.ib);
     match *t {
         ApplyTask::Geqrt { k, i, jc } => {
             let (k, i, jc) = (k as usize, i as usize, jc as usize);
             let vg = src.factors.vg(i, k).expect("GEQRT V present");
             let tg = src.factors.tg(i, k).expect("GEQRT T present");
-            if blocked {
-                unmqr_ib(b, src.ib, vg, tg, c.tile(i, jc), src.trans);
-            } else {
-                unmqr(b, vg, tg, c.tile(i, jc), src.trans);
-            }
+            unmqr_ib(b, ib, vg, tg, c.tile(i, jc), src.trans);
         }
         ApplyTask::Kill { k, i, piv, jc, ts } => {
             let (k, i, piv, jc) = (k as usize, i as usize, piv as usize, jc as usize);
             let v2 = src.factored.tile(i, k);
             let tk = src.factors.tk(i, k).expect("kill T present");
             let (c1, c2) = (c.tile(piv, jc), c.tile(i, jc));
-            match (ts, blocked) {
-                (true, false) => tsmqr(b, v2, tk, c1, c2, src.trans),
-                (true, true) => tsmqr_ib(b, src.ib, v2, tk, c1, c2, src.trans),
-                (false, false) => ttmqr(b, v2, tk, c1, c2, src.trans),
-                (false, true) => ttmqr_ib(b, src.ib, v2, tk, c1, c2, src.trans),
-            }
+            let apply = if ts { tsmqr_ib } else { ttmqr_ib };
+            apply(b, ib, v2, tk, c1, c2, src.trans);
         }
     }
 }

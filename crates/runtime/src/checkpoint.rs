@@ -193,7 +193,7 @@ pub struct Checkpoint {
     pub nt: usize,
     /// Tile size.
     pub b: usize,
-    /// Inner block size the run was using (`== b` for unblocked kernels).
+    /// Inner block size the run was using.
     pub ib: usize,
     /// Fingerprint of the graph + `ib` this state belongs to.
     pub fingerprint: u64,

@@ -157,8 +157,7 @@ pub fn execute_serial(graph: &TaskGraph, a: &mut TiledMatrix) -> TFactors {
     execute_serial_ib(graph, a, graph.b())
 }
 
-/// [`execute_serial`] with an explicit inner block size (PLASMA's IB);
-/// `ib == b` selects the unblocked kernels.
+/// [`execute_serial`] with an explicit inner block size (PLASMA's IB).
 pub fn execute_serial_ib(graph: &TaskGraph, a: &mut TiledMatrix, ib: usize) -> TFactors {
     let mut f = TFactors::allocate_for(graph);
     let store = TileStore::with_ib(a, &mut f, ib);

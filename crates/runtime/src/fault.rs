@@ -279,8 +279,8 @@ impl FaultStats {
 pub struct ExecOptions {
     /// Worker threads; `0` and `1` both run a single worker.
     pub nthreads: usize,
-    /// Inner block size (PLASMA's IB); `None` selects the unblocked
-    /// kernels (`ib == b`).
+    /// Inner block size (PLASMA's IB); `None` runs one panel per tile
+    /// (`ib = b`).
     pub ib: Option<usize>,
     /// Per-task retry budget after a caught panic; `0` fails fast.
     pub max_retries: u32,

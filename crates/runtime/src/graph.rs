@@ -194,7 +194,8 @@ fn build_edges(mt: usize, nt: usize, tasks: &[Task]) -> (Vec<u32>, Vec<u32>, Vec
         let mut preds = [0u32; 8];
         for (tid, t) in tasks.iter().enumerate() {
             let mut np = 0;
-            for s in t.reads().into_iter().chain(t.writes()) {
+            let ops = t.operands();
+            for &s in ops.reads().iter().chain(ops.writes()) {
                 let w = writer[slot_of(s)];
                 if w != NONE {
                     preds[np] = w;
@@ -212,7 +213,7 @@ fn build_edges(mt: usize, nt: usize, tasks: &[Task]) -> (Vec<u32>, Vec<u32>, Vec
                     prev = p;
                 }
             }
-            for s in t.writes() {
+            for &s in ops.writes() {
                 writer[slot_of(s)] = tid as u32;
             }
         }
@@ -229,7 +230,8 @@ fn build_edges(mt: usize, nt: usize, tasks: &[Task]) -> (Vec<u32>, Vec<u32>, Vec
         let mut preds = [0u32; 8];
         for (tid, t) in tasks.iter().enumerate() {
             let mut np = 0;
-            for s in t.reads().into_iter().chain(t.writes()) {
+            let ops = t.operands();
+            for &s in ops.reads().iter().chain(ops.writes()) {
                 let w = writer[slot_of(s)];
                 if w != NONE {
                     preds[np] = w;
@@ -245,7 +247,7 @@ fn build_edges(mt: usize, nt: usize, tasks: &[Task]) -> (Vec<u32>, Vec<u32>, Vec
                     prev = p;
                 }
             }
-            for s in t.writes() {
+            for &s in ops.writes() {
                 writer[slot_of(s)] = tid as u32;
             }
         }

@@ -73,7 +73,7 @@ pub use pool::{
 pub use retry::RetryPolicy;
 pub use sched::SchedPolicy;
 pub use spill::{SpillSummary, SPILL_MAGIC, SPILL_VERSION};
-pub use task::Task;
+pub use task::{run_kernel, Task};
 pub use trace::{
     chrome_trace_from_exec, realized_critical_path, validate_chrome_trace, validate_sdc_instants,
     ChromeTraceBuilder, PathStep, RealizedPath,

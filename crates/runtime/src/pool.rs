@@ -1124,21 +1124,12 @@ impl JobPool {
         }
         let id = s.next_id.fetch_add(1, Ordering::Relaxed);
         let seq = s.next_seq.fetch_add(1, Ordering::Relaxed);
-        pending.push(PendingJob {
-            id,
-            seq,
-            policy: jp,
-            elims,
-            seed,
-            graph,
-            footprint: need,
-            attempts: 0,
-            not_before: None,
-            count_attempt: true,
-        });
-        drop(pending);
-        let mut recs = relock(&s.records);
-        recs.insert(
+        // The record and the journaled Accepted exist before the push
+        // makes the job visible to the supervisor: a job admitted and
+        // finished at once concludes into its record, and its Started and
+        // terminal events follow Accepted in the journal. Lock order is
+        // pending → records, as on the shed path above.
+        relock(&s.records).insert(
             id,
             JobRecord {
                 state: JobState::Queued,
@@ -1154,25 +1145,44 @@ impl JobPool {
                 outcome: None,
             },
         );
-        drop(recs);
-        if let Some(mut dd) = dedup_guard {
-            dd.insert(dedup_key.clone().expect("guard implies key"), id);
-        }
         // Accepted reaches stable storage before the caller learns the id.
         s.log_event(JournalEvent::Accepted {
             id,
             attempts: 0,
             tasks_total: tasks_total as u64,
-            dedup: dedup_key,
+            dedup: dedup_key.clone(),
             spec: spec_bytes,
         });
+        pending.push(PendingJob {
+            id,
+            seq,
+            policy: jp,
+            elims,
+            seed,
+            graph,
+            footprint: need,
+            attempts: 0,
+            not_before: None,
+            count_attempt: true,
+        });
+        drop(pending);
+        if let Some(mut dd) = dedup_guard {
+            dd.insert(dedup_key.expect("guard implies key"), id);
+        }
         Ok((JobId(id), false))
     }
 
     /// Resubmit one journal-recovered job under its original id and
     /// attempt count, bypassing backpressure (it was already accepted in
-    /// a previous life).
-    fn resubmit_recovered(&self, spec: JobSpec, id: u64, attempts: u32) -> Result<(), SubmitError> {
+    /// a previous life). `journal` re-journals the job; like the record,
+    /// it runs before the job becomes visible to the supervisor.
+    fn resubmit_recovered(
+        &self,
+        spec: JobSpec,
+        id: u64,
+        attempts: u32,
+        journal: impl FnOnce(),
+    ) -> Result<(), SubmitError> {
         let s = &*self.shared;
         let (elims, graph, ib, need) = prepare(&spec)?;
         let need = chargeable(&s.cfg, need);
@@ -1208,18 +1218,7 @@ impl JobPool {
             dedup_key,
         };
         let tasks_total = graph.tasks().len();
-        relock(&s.pending).push(PendingJob {
-            id,
-            seq: s.next_seq.fetch_add(1, Ordering::Relaxed),
-            policy: jp,
-            elims,
-            seed,
-            graph,
-            footprint: need,
-            attempts,
-            not_before: None,
-            count_attempt: true,
-        });
+        let mut pending = relock(&s.pending);
         relock(&s.records).insert(
             id,
             JobRecord {
@@ -1236,6 +1235,19 @@ impl JobPool {
                 outcome: None,
             },
         );
+        journal();
+        pending.push(PendingJob {
+            id,
+            seq: s.next_seq.fetch_add(1, Ordering::Relaxed),
+            policy: jp,
+            elims,
+            seed,
+            graph,
+            footprint: need,
+            attempts,
+            not_before: None,
+            count_attempt: true,
+        });
         Ok(())
     }
 
@@ -1329,27 +1341,25 @@ impl JobPool {
                     ck_file = Some(f.clone());
                 }
             }
-            match self.resubmit_recovered(spec, id, j.attempts) {
-                Ok(()) => {
-                    s.log_event(JournalEvent::Accepted {
+            let journal = || {
+                s.log_event(JournalEvent::Accepted {
+                    id,
+                    attempts: j.attempts,
+                    tasks_total: j.tasks_total,
+                    dedup: j.dedup.clone(),
+                    spec: j.spec.clone(),
+                });
+                if let Some(file) = &ck_file {
+                    s.log_event(JournalEvent::Checkpointed {
                         id,
-                        attempts: j.attempts,
-                        tasks_total: j.tasks_total,
-                        dedup: j.dedup.clone(),
-                        spec: j.spec.clone(),
+                        tasks_done: j.ckpt_tasks_done,
+                        file: file.clone(),
                     });
-                    match ck_file {
-                        Some(file) => {
-                            s.log_event(JournalEvent::Checkpointed {
-                                id,
-                                tasks_done: j.ckpt_tasks_done,
-                                file,
-                            });
-                            report.resumed_from_checkpoint += 1;
-                        }
-                        None => report.restarted_fresh += 1,
-                    }
                 }
+            };
+            match self.resubmit_recovered(spec, id, j.attempts, journal) {
+                Ok(()) if ck_file.is_some() => report.resumed_from_checkpoint += 1,
+                Ok(()) => report.restarted_fresh += 1,
                 Err(e) => {
                     self.quarantine_unrecoverable(j, id, &e.to_string());
                     report.unrecoverable += 1;
@@ -1941,6 +1951,12 @@ fn run_job_task(
     me: usize,
     local: &Worker<(u64, u32)>,
 ) {
+    // Deadlines bite when a worker picks up a task; the supervisor's
+    // `enforce_deadlines` is the backstop for jobs no worker touches.
+    if let Some(d) = job.deadline.filter(|&d| job.started.elapsed() > d) {
+        job.halt_with(Verdict::Deadline(d));
+        return;
+    }
     let t = &job.graph.tasks()[tid as usize];
     let ctx = AttemptCtx {
         store: &job.store,
@@ -1987,7 +2003,8 @@ fn run_job_task(
             if let Some(s) = keep {
                 local.push((job.rid, s));
             }
-            job.remaining.fetch_sub(1, Ordering::AcqRel);
+            let before = job.remaining.fetch_sub(1, Ordering::AcqRel);
+            debug_assert!(before > 0, "job {} completed more tasks than it has", job.id);
         }
         AttemptEnd::Fail { attempts, message } => {
             let e = if job.recovery {
@@ -2685,9 +2702,11 @@ fn activate_job(shared: &Shared, p: PendingJob) {
         None => attempts,
     });
     shared.log_event(JournalEvent::Started { id, attempt });
-    // Publish the initial frontier.
-    for tid in 0..n {
-        if job.indeg[tid].load(Ordering::Relaxed) == 0 && !job.done[tid].load(Ordering::Relaxed) {
+    // Publish the initial frontier from the local snapshot: the job is
+    // already live, so a task released since by a running predecessor
+    // shows indegree 0 in `job.indeg` too and must not be pushed twice.
+    for (tid, (&d, &done)) in indeg0.iter().zip(&completed).enumerate() {
+        if d == 0 && !done {
             shared.push_ready(&job, tid as u32);
         }
     }
@@ -2759,6 +2778,80 @@ mod tests {
             }
         }
         elims
+    }
+
+    /// Poll `id` until it is terminal; fails instead of hanging.
+    fn wait_terminal(pool: &JobPool, id: JobId) -> JobView {
+        let give_up = Instant::now() + Duration::from_secs(60);
+        loop {
+            let v = pool.status(id).expect("known job");
+            if v.state.is_terminal() {
+                return v;
+            }
+            assert!(Instant::now() < give_up, "job {} stuck in {}", id.0, v.state);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Deadlines bite when a worker picks up a task, not only on the
+    /// supervisor's tick: with a tick far longer than the job's run, a
+    /// 1 ms deadline still quarantines a job of over a thousand tasks.
+    #[test]
+    fn deadline_is_enforced_when_a_worker_acquires_a_task() {
+        let pool = JobPool::new(PoolConfig {
+            nthreads: 2,
+            tick: Duration::from_millis(50),
+            ..Default::default()
+        });
+        let (nt, b) = (14, 16);
+        let elims = flat_elims(nt, nt);
+        assert!(TaskGraph::build(nt, nt, b, &elims).tasks().len() >= 1000);
+        let mut spec = JobSpec::fresh(elims, TiledMatrix::random(nt, nt, b, 5));
+        spec.deadline = Some(Duration::from_millis(1));
+        let id = pool.submit(spec).expect("submit");
+        let out = pool.wait(id).expect("known job");
+        assert_eq!(out.state, JobState::Quarantined, "{:?}", out.error);
+        let err = out.error.expect("quarantine records its reason");
+        assert!(err.contains("deadline"), "reason should name the deadline: {err}");
+        pool.shutdown();
+    }
+
+    /// A job admitted and finished the moment it is queued must still
+    /// find its record, and on a durable pool its Accepted event must
+    /// precede its Started and terminal events in the journal.
+    #[test]
+    fn accepted_is_recorded_and_journaled_before_the_job_can_run() {
+        let dir = std::env::temp_dir().join(format!("hqr_pool_accept_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pool = JobPool::new(PoolConfig {
+            nthreads: 2,
+            queue_cap: 1024,
+            tick: Duration::from_micros(50),
+            durability: Some(DurabilityConfig::at(&dir)),
+            ..Default::default()
+        });
+        let ids: Vec<JobId> = (0..64)
+            .map(|seed| {
+                let spec = JobSpec::fresh(flat_elims(2, 1), TiledMatrix::random(2, 1, 2, seed));
+                pool.submit(spec).expect("submit")
+            })
+            .collect();
+        for &id in &ids {
+            let v = wait_terminal(&pool, id);
+            assert_eq!(v.state, JobState::Completed, "{:?}", v.error);
+            assert_eq!(v.tasks_done, v.tasks_total);
+        }
+        pool.shutdown();
+        let events = Journal::read(&dir.join(JOURNAL_FILE)).expect("read journal");
+        for id in ids {
+            let kinds: Vec<&JournalEvent> = events.iter().filter(|e| e.job_id() == id.0).collect();
+            assert!(
+                matches!(kinds.first(), Some(JournalEvent::Accepted { .. })),
+                "job {} journaled {kinds:?}",
+                id.0
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

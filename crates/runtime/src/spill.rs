@@ -314,7 +314,8 @@ impl PagedCore {
     /// Queue the slots a ready task touches for background fault-in.
     pub(crate) fn enqueue_prefetch(&self, t: &Task) {
         let mut wanted = Vec::new();
-        for (fam, i, j) in t.reads().into_iter().chain(t.writes()) {
+        let ops = t.operands();
+        for &(fam, i, j) in ops.reads().iter().chain(ops.writes()) {
             let idx = self.slot_index(fam, i, j);
             // Cheap pre-filter: skip slots already resident right now.
             if let Ok(s) = self.slots[idx].try_lock() {

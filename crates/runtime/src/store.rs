@@ -24,15 +24,13 @@ use std::path::Path;
 use crate::exec::TFactors;
 use crate::fault::{SdcFault, SdcPattern, SDC_SCALE_FACTOR};
 use crate::spill::{PagedStore, SpillSummary};
-use crate::task::{SlotFamily, Task};
-use hqr_kernels::blocked::{geqrt_ib, tsmqr_ib, tsqrt_ib, ttmqr_ib, ttqrt_ib, unmqr_ib};
-use hqr_kernels::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, KernelKind, Trans};
+use crate::task::{run_kernel, SlotFamily, Task};
 use hqr_tile::TiledMatrix;
 
 /// Raw-pointer view over the matrix tiles and the factor buffers.
 pub struct TileStore {
     b: usize,
-    /// Inner block size; `ib == b` selects the unblocked kernels.
+    /// Inner block size the kernels run with.
     ib: usize,
     mt: usize,
     a: Vec<*mut f64>,
@@ -93,14 +91,13 @@ fn ptrs(v: &mut [Option<Box<[f64]>>]) -> Vec<*mut f64> {
 
 impl TileStore {
     /// Build a store over a matrix and its (pre-allocated) factor buffers,
-    /// using the unblocked kernels.
+    /// with one kernel panel per tile (`ib = b`).
     pub fn new(a: &mut TiledMatrix, f: &mut TFactors) -> Self {
         let b = a.b();
         Self::with_ib(a, f, b)
     }
 
-    /// [`TileStore::new`] with an explicit inner block size (PLASMA's IB);
-    /// `ib == b` selects the unblocked kernels.
+    /// [`TileStore::new`] with an explicit inner block size (PLASMA's IB).
     pub fn with_ib(a: &mut TiledMatrix, f: &mut TFactors, ib: usize) -> Self {
         Self::check_shapes(a, f, ib);
         TileStore {
@@ -175,8 +172,9 @@ impl TileStore {
         // Writes first (they set the dirty bit), then any read-only slots
         // not already pinned. At most one slot lock is held at a time, so
         // concurrent pinners cannot deadlock.
-        for (will_write, set) in [(true, t.writes()), (false, t.reads())] {
-            for (fam, i, j) in set {
+        let ops = t.operands();
+        for (will_write, set) in [(true, ops.writes()), (false, ops.reads())] {
+            for &(fam, i, j) in set {
                 let idx = core.slot_index(fam, i, j);
                 if pins.idxs.contains(&idx) {
                     continue;
@@ -236,11 +234,6 @@ impl TileStore {
     }
 
     #[inline]
-    fn a(&self, i: usize, j: usize) -> &mut [f64] {
-        self.slice(self.slot_ptr((SlotFamily::A, i, j)))
-    }
-
-    #[inline]
     fn slot_ptr(&self, (fam, i, j): (SlotFamily, usize, usize)) -> *mut f64 {
         if let Some(paged) = &self.paged {
             // Pinned by the executor before the task ran, so the buffer
@@ -279,8 +272,8 @@ impl TileStore {
     /// # Safety
     /// Same contract as [`TileStore::run_task`] for `t`'s write set.
     pub(crate) unsafe fn apply_sdc(&self, t: &Task, f: &SdcFault) {
-        let writes = t.writes();
-        let s = writes[f.slot as usize % writes.len()];
+        let ops = t.operands();
+        let s = ops.writes()[f.slot as usize % ops.writes().len()];
         let buf = self.slice(self.slot_ptr(s));
         let x = &mut buf[f.element as usize % (self.b * self.b)];
         match f.pattern {
@@ -304,9 +297,10 @@ impl TileStore {
     pub unsafe fn snapshot(&self, t: &Task) -> TaskSnapshot {
         let len = self.b * self.b;
         let saved = t
+            .operands()
             .writes()
-            .into_iter()
-            .map(|s| {
+            .iter()
+            .map(|&s| {
                 let p = self.slot_ptr(s);
                 debug_assert!(!p.is_null(), "write-set slot has no buffer");
                 (p, std::slice::from_raw_parts(p, len).to_vec().into_boxed_slice())
@@ -333,101 +327,16 @@ impl TileStore {
     /// a task whose read/write set overlaps this task's write set — which is
     /// exactly what executing tasks in DAG order provides.
     pub unsafe fn run_task(&self, t: &Task) {
-        let (b, ib) = (self.b, self.ib);
-        let blocked = ib < b;
-        let (k, i, piv, j) = (t.k as usize, t.i as usize, t.piv as usize, t.j as usize);
-        let fslot = |fam: SlotFamily| self.slice(self.slot_ptr((fam, i, k)));
-        match t.kind {
-            KernelKind::Geqrt => {
-                let tile = self.a(i, k);
-                if blocked {
-                    geqrt_ib(b, ib, tile, fslot(SlotFamily::Tg));
-                } else {
-                    geqrt(b, tile, fslot(SlotFamily::Tg));
-                }
-                // Copy V out so UNMQRs read it while kills rewrite the
-                // tile's R part (the logical V/R tile split of the DAG).
-                fslot(SlotFamily::Vg).copy_from_slice(tile);
-            }
-            KernelKind::Unmqr => {
-                if blocked {
-                    unmqr_ib(
-                        b,
-                        ib,
-                        fslot(SlotFamily::Vg),
-                        fslot(SlotFamily::Tg),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                } else {
-                    unmqr(
-                        b,
-                        fslot(SlotFamily::Vg),
-                        fslot(SlotFamily::Tg),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                }
-            }
-            KernelKind::Tsqrt => {
-                if blocked {
-                    tsqrt_ib(b, ib, self.a(piv, k), self.a(i, k), fslot(SlotFamily::Tk));
-                } else {
-                    tsqrt(b, self.a(piv, k), self.a(i, k), fslot(SlotFamily::Tk));
-                }
-            }
-            KernelKind::Ttqrt => {
-                if blocked {
-                    ttqrt_ib(b, ib, self.a(piv, k), self.a(i, k), fslot(SlotFamily::Tk));
-                } else {
-                    ttqrt(b, self.a(piv, k), self.a(i, k), fslot(SlotFamily::Tk));
-                }
-            }
-            KernelKind::Tsmqr => {
-                if blocked {
-                    tsmqr_ib(
-                        b,
-                        ib,
-                        self.a(i, k),
-                        fslot(SlotFamily::Tk),
-                        self.a(piv, j),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                } else {
-                    tsmqr(
-                        b,
-                        self.a(i, k),
-                        fslot(SlotFamily::Tk),
-                        self.a(piv, j),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                }
-            }
-            KernelKind::Ttmqr => {
-                if blocked {
-                    ttmqr_ib(
-                        b,
-                        ib,
-                        self.a(i, k),
-                        fslot(SlotFamily::Tk),
-                        self.a(piv, j),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                } else {
-                    ttmqr(
-                        b,
-                        self.a(i, k),
-                        fslot(SlotFamily::Tk),
-                        self.a(piv, j),
-                        self.a(i, j),
-                        Trans::Trans,
-                    );
-                }
-            }
+        let ops = t.operands();
+        let mut w: [&mut [f64]; 3] = Default::default();
+        let mut r: [&[f64]; 2] = Default::default();
+        for (buf, &s) in w.iter_mut().zip(ops.writes()) {
+            *buf = self.slice(self.slot_ptr(s));
         }
+        for (buf, &s) in r.iter_mut().zip(ops.reads()) {
+            *buf = self.slice(self.slot_ptr(s));
+        }
+        run_kernel(t.kind, self.b, self.ib, &mut w[..ops.writes().len()], &r[..ops.reads().len()]);
     }
 }
 

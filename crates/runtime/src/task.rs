@@ -1,6 +1,7 @@
-//! Kernel tasks and their data-access footprints.
+//! Kernel tasks, their data-access footprints, and the one task→kernel
+//! dispatch every backend runs them through.
 
-use hqr_kernels::KernelKind;
+use hqr_kernels::{geqrt_ib, tsmqr_ib, tsqrt_ib, ttmqr_ib, ttqrt_ib, unmqr_ib, KernelKind, Trans};
 
 /// A single kernel invocation in the factorization DAG.
 ///
@@ -105,34 +106,88 @@ impl Task {
         }
     }
 
-    /// Slots read by this task (excluding read-write slots listed in
-    /// [`Task::writes`]); each entry is `(family, row, col)`.
-    pub fn reads(&self) -> Vec<(SlotFamily, usize, usize)> {
-        let (k, i) = (self.k as usize, self.i as usize);
+    /// The slots this task touches, without allocating.
+    pub fn operands(&self) -> Operands {
+        use SlotFamily::{Tg, Tk, Vg, A};
+        let (k, i, piv, j) = (self.k as usize, self.i as usize, self.piv as usize, self.j as usize);
         match self.kind {
-            KernelKind::Geqrt => vec![],
-            KernelKind::Unmqr => vec![(SlotFamily::Vg, i, k), (SlotFamily::Tg, i, k)],
-            KernelKind::Tsqrt | KernelKind::Ttqrt => vec![],
+            KernelKind::Geqrt => Operands::new([(A, i, k), (Vg, i, k), (Tg, i, k)], []),
+            KernelKind::Unmqr => Operands::new([(A, i, j)], [(Vg, i, k), (Tg, i, k)]),
+            KernelKind::Tsqrt | KernelKind::Ttqrt => {
+                Operands::new([(A, piv, k), (A, i, k), (Tk, i, k)], [])
+            }
             KernelKind::Tsmqr | KernelKind::Ttmqr => {
-                vec![(SlotFamily::A, i, k), (SlotFamily::Tk, i, k)]
+                Operands::new([(A, piv, j), (A, i, j)], [(A, i, k), (Tk, i, k)])
             }
         }
     }
 
+    /// Slots read by this task (excluding read-write slots listed in
+    /// [`Task::writes`]); each entry is `(family, row, col)`.
+    pub fn reads(&self) -> Vec<(SlotFamily, usize, usize)> {
+        self.operands().reads().to_vec()
+    }
+
     /// Slots written (or read-written) by this task.
     pub fn writes(&self) -> Vec<(SlotFamily, usize, usize)> {
-        let (k, i, piv, j) = (self.k as usize, self.i as usize, self.piv as usize, self.j as usize);
-        match self.kind {
-            KernelKind::Geqrt => {
-                vec![(SlotFamily::A, i, k), (SlotFamily::Vg, i, k), (SlotFamily::Tg, i, k)]
-            }
-            KernelKind::Unmqr => vec![(SlotFamily::A, i, j)],
-            KernelKind::Tsqrt | KernelKind::Ttqrt => {
-                vec![(SlotFamily::A, piv, k), (SlotFamily::A, i, k), (SlotFamily::Tk, i, k)]
-            }
-            KernelKind::Tsmqr | KernelKind::Ttmqr => {
-                vec![(SlotFamily::A, piv, j), (SlotFamily::A, i, j)]
-            }
+        self.operands().writes().to_vec()
+    }
+}
+
+/// A task's distinct operand slots (at most four): its written (or
+/// read-written) slots, then its read-only slots.
+#[derive(Clone, Copy, Debug)]
+pub struct Operands {
+    slots: [(SlotFamily, usize, usize); 4],
+    writes: usize,
+    len: usize,
+}
+
+impl Operands {
+    fn new<const W: usize, const R: usize>(
+        w: [(SlotFamily, usize, usize); W],
+        r: [(SlotFamily, usize, usize); R],
+    ) -> Self {
+        let mut slots = [(SlotFamily::A, 0, 0); 4];
+        slots[..W].copy_from_slice(&w);
+        slots[W..W + R].copy_from_slice(&r);
+        Operands { slots, writes: W, len: W + R }
+    }
+
+    /// Slots the kernel writes, in the order [`run_kernel`] takes them.
+    pub fn writes(&self) -> &[(SlotFamily, usize, usize)] {
+        &self.slots[..self.writes]
+    }
+
+    /// Slots the kernel only reads, in the order [`run_kernel`] takes them.
+    pub fn reads(&self) -> &[(SlotFamily, usize, usize)] {
+        &self.slots[self.writes..self.len]
+    }
+}
+
+/// Run `kind`'s tile kernel with inner block size `ib` on its operand
+/// buffers: `w` in [`Operands::writes`] order, `r` in [`Operands::reads`]
+/// order. This is the one task→kernel mapping; the shared-memory store
+/// and the distributed workers both run tasks through it, which is what
+/// keeps their factors bitwise identical.
+///
+/// # Panics
+/// If the buffer counts do not match `kind`'s operands.
+pub fn run_kernel(kind: KernelKind, b: usize, ib: usize, w: &mut [&mut [f64]], r: &[&[f64]]) {
+    match (kind, w, r) {
+        (KernelKind::Geqrt, [a, vg, tg], []) => {
+            geqrt_ib(b, ib, a, tg);
+            // Copy V out so UNMQRs read it while kills rewrite the
+            // tile's R part (the logical V/R tile split of the DAG).
+            vg.copy_from_slice(a);
+        }
+        (KernelKind::Unmqr, [c], [v, t]) => unmqr_ib(b, ib, v, t, c, Trans::Trans),
+        (KernelKind::Tsqrt, [a1, a2, t], []) => tsqrt_ib(b, ib, a1, a2, t),
+        (KernelKind::Ttqrt, [a1, a2, t], []) => ttqrt_ib(b, ib, a1, a2, t),
+        (KernelKind::Tsmqr, [a1, a2], [v2, t]) => tsmqr_ib(b, ib, v2, t, a1, a2, Trans::Trans),
+        (KernelKind::Ttmqr, [a1, a2], [v2, t]) => ttmqr_ib(b, ib, v2, t, a1, a2, Trans::Trans),
+        (kind, w, r) => {
+            panic!("{kind:?} given {} written and {} read buffers", w.len(), r.len())
         }
     }
 }

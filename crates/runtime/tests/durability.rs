@@ -304,13 +304,20 @@ fn dedup_key_is_idempotent_and_survives_recovery() {
 #[test]
 fn periodic_checkpoints_fire_without_perturbing_results() {
     let dir = state_dir("periodic");
-    // Big enough that several supervisor ticks elapse mid-run.
     let elims = flat_elims(10, 6);
     let a0 = TiledMatrix::random(10, 6, 16, 61);
     let (ref_a, ref_f) = solo(&elims, &a0);
 
     let pool = durable_pool(&dir, Duration::from_millis(1));
-    let id = pool.submit(JobSpec::fresh(elims.clone(), a0.clone())).expect("submit");
+    // Keep the job resident after it has made progress, however fast the
+    // host: its last task fails (and is rolled back) a few thousand times
+    // before it succeeds, so several supervisor ticks see a job due for
+    // a periodic checkpoint.
+    let last = TaskGraph::build(10, 6, 16, &elims).tasks().len() as u32 - 1;
+    let mut spec = JobSpec::fresh(elims.clone(), a0.clone());
+    spec.plan = Some(FaultPlan::new(61).fail_task(last, 3000));
+    spec.max_retries = 3001;
+    let id = pool.submit(spec).expect("submit");
     let out = pool.wait(id).expect("wait");
     assert_eq!(out.state, JobState::Completed, "error: {:?}", out.error);
     let stored = result_from_bytes(pool.result_bytes(id).expect("result")).unwrap();

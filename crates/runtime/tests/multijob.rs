@@ -254,6 +254,35 @@ fn eight_mixed_jobs_complete_bitwise() {
     pool.shutdown();
 }
 
+/// Hundreds of tiny jobs activated while the workers are busy running
+/// earlier ones: each task must run exactly once, so every job completes
+/// with all of its tasks counted (a task published twice at activation
+/// would run twice and leave its job unfinalized forever).
+#[test]
+fn hundreds_of_tiny_jobs_activated_under_load_all_complete() {
+    let pool = JobPool::new(PoolConfig { nthreads: 2, queue_cap: 1024, ..Default::default() });
+    let give_up = std::time::Instant::now() + Duration::from_secs(120);
+    let mut ids = Vec::new();
+    for seed in 0..240u64 {
+        let elims = if seed % 2 == 0 { flat_elims(3, 2) } else { binary_elims(4, 2) };
+        let mt = if seed % 2 == 0 { 3 } else { 4 };
+        ids.push(pool.submit(JobSpec::fresh(elims, TiledMatrix::random(mt, 2, 4, seed))).unwrap());
+    }
+    for id in ids {
+        let v = loop {
+            let v = pool.status(id).expect("known job");
+            if v.state.is_terminal() {
+                break v;
+            }
+            assert!(std::time::Instant::now() < give_up, "job {id:?} stuck in {}", v.state);
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(v.state, JobState::Completed, "{id:?}: {:?}", v.error);
+        assert_eq!(v.tasks_done, v.tasks_total, "{id:?}");
+    }
+    pool.shutdown();
+}
+
 #[test]
 fn deadline_miss_retries_then_quarantines_while_others_complete() {
     let pool = JobPool::new(PoolConfig {
