@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hqr::prelude::*;
-use hqr_runtime::{execute_parallel, execute_serial, TaskGraph};
+use hqr_runtime::{execute_serial, try_execute_with, ExecOptions, TaskGraph};
 
 fn bench_runtime(c: &mut Criterion) {
     let (mt, nt, b) = (16usize, 8usize, 32usize);
@@ -25,7 +25,7 @@ fn bench_runtime(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("factorize-parallel", threads), |bench| {
             bench.iter_batched(
                 || a0.clone(),
-                |mut a| execute_parallel(&graph, &mut a, threads),
+                |mut a| try_execute_with(&graph, &mut a, &ExecOptions::with_threads(threads)),
                 criterion::BatchSize::LargeInput,
             );
         });

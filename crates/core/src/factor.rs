@@ -6,7 +6,7 @@
 
 use crate::elim::ElimList;
 use hqr_kernels::{tsmqr_ib, ttmqr_ib, unmqr_ib, Trans};
-use hqr_runtime::{execute_parallel_ib, execute_serial_ib, TFactors, TaskGraph};
+use hqr_runtime::{execute_serial_ib, try_execute_with, ExecOptions, TFactors, TaskGraph};
 use hqr_tile::{DenseMatrix, TiledMatrix};
 
 /// How to execute the task DAG.
@@ -71,7 +71,10 @@ pub fn qr_factorize_ib(
     let graph = TaskGraph::build(a.mt(), a.nt(), a.b(), &elims.to_ops());
     let factors = match exec {
         Execution::Serial => execute_serial_ib(&graph, a, ib),
-        Execution::Parallel(n) => execute_parallel_ib(&graph, a, n, ib),
+        Execution::Parallel(n) => {
+            let opts = ExecOptions { nthreads: n, ib: Some(ib), ..Default::default() };
+            try_execute_with(&graph, a, &opts).unwrap_or_else(|e| panic!("{e}")).0
+        }
     };
     QrFactorization { a: a.clone(), factors, elims: elims.clone(), ib }
 }

@@ -8,13 +8,12 @@
 //! independent — exactly the parallelism a runtime exploits when building
 //! Q "by applying the reverse trees to the identity" (§V-A).
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crossbeam_deque::{Injector, Stealer, Worker};
-use crossbeam_utils::Backoff;
-
 use crate::elim::ElimOp;
+use crate::engine::{relock, worker_loop, Sched};
 use crate::exec::TFactors;
 use hqr_kernels::{tsmqr_ib, ttmqr_ib, unmqr_ib, Trans};
 use hqr_tile::TiledMatrix;
@@ -249,86 +248,42 @@ pub fn apply_q_parallel(
         }
         return;
     }
-    let n = graph.tasks().len();
     let indeg: Vec<AtomicU32> = graph.in_degree.iter().map(|&d| AtomicU32::new(d)).collect();
-    let remaining = AtomicUsize::new(n);
-    let injector: Injector<u32> = Injector::new();
+    let remaining = AtomicUsize::new(graph.tasks().len());
+    let (sched, seats) = Sched::<u32>::new(nthreads, false);
     for (tid, &d) in graph.in_degree.iter().enumerate() {
         if d == 0 {
-            injector.push(tid as u32);
+            sched.push((tid as u32, 0));
         }
     }
-    let workers: Vec<Worker<u32>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
     // A panicking kernel halts the sibling workers instead of deadlocking
     // them; the first panic is re-raised on the calling thread.
     let halt = AtomicBool::new(false);
     let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     std::thread::scope(|scope| {
-        for (me, worker) in workers.into_iter().enumerate() {
-            let graph = &graph;
-            let src = &src;
-            let store = &store;
-            let indeg = &indeg;
-            let remaining = &remaining;
-            let injector = &injector;
-            let stealers = &stealers;
-            let (halt, panicked) = (&halt, &panicked);
+        for mut seat in seats {
+            let (graph, src, store, indeg) = (&graph, &src, &store, &indeg);
+            let (sched, remaining, halt, panicked) = (&sched, &remaining, &halt, &panicked);
             scope.spawn(move || {
-                let backoff = Backoff::new();
-                loop {
-                    if halt.load(Ordering::Acquire) {
-                        break;
+                worker_loop(sched, &mut seat, halt, Some(remaining), |tid, seat| {
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        run_apply_task(&graph.tasks[tid as usize], src, store)
+                    }));
+                    if let Err(payload) = run {
+                        relock(panicked).get_or_insert(payload);
+                        halt.store(true, Ordering::Release);
+                        return false;
                     }
-                    let next = worker.pop().or_else(|| {
-                        std::iter::repeat_with(|| {
-                            injector.steal_batch_and_pop(&worker).or_else(|| {
-                                stealers
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(idx, _)| *idx != me)
-                                    .map(|(_, s)| s.steal())
-                                    .collect()
-                            })
-                        })
-                        .find(|s| !s.is_retry())
-                        .and_then(|s| s.success())
-                    });
-                    match next {
-                        Some(tid) => {
-                            backoff.reset();
-                            let run =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    run_apply_task(&graph.tasks[tid as usize], src, store)
-                                }));
-                            if let Err(payload) = run {
-                                let mut slot = panicked.lock().unwrap();
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                halt.store(true, Ordering::Release);
-                                break;
-                            }
-                            for &s in graph.successors(tid as usize) {
-                                if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    worker.push(s);
-                                }
-                            }
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        None => {
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            backoff.snooze();
-                        }
-                    }
-                }
+                    let succs = graph.successors(tid as usize);
+                    sched.release(&seat.local, succs, indeg, |s| Some((s, 0)));
+                    remaining.fetch_sub(1, Ordering::AcqRel);
+                    true
+                });
             });
         }
     });
-    if let Some(payload) = panicked.into_inner().unwrap() {
-        std::panic::resume_unwind(payload);
+    if let Some(payload) = relock(&panicked).take() {
+        resume_unwind(payload);
     }
     assert_eq!(remaining.load(Ordering::Acquire), 0, "apply-Q deadlocked");
 }

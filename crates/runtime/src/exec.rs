@@ -1,30 +1,23 @@
 //! Serial and multithreaded DAG executors.
 //!
-//! Two families of entry points share one engine:
-//!
-//! * the legacy `execute_*` functions, which panic on failure (kept for
-//!   compatibility with existing callers), and
-//! * the `try_execute_*` functions, which report every failure — kernel
-//!   panics, exhausted retry budgets, scheduler stalls — as a typed
-//!   [`ExecError`], and accept an [`ExecOptions`] enabling bounded per-task
-//!   retry with write-set rollback, deterministic fault injection
-//!   ([`FaultPlan`]) and a stall watchdog.
+//! [`execute_serial`] runs the DAG in program order on the calling thread
+//! and is the in-order reference every other backend is compared against.
+//! The `try_execute_*` entry points run it on the work-stealing core
+//! (`engine.rs`) and report every failure — kernel panics, exhausted
+//! retry budgets, scheduler stalls — as a typed [`ExecError`]. Their
+//! [`ExecOptions`] enable bounded per-task retry with write-set rollback,
+//! deterministic fault injection ([`crate::FaultPlan`]) and a stall
+//! watchdog.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam_deque::{Injector, Steal, Stealer, Worker};
-use crossbeam_utils::Backoff;
-
-use crate::error::{ExecError, StallCause, StallReport};
-use crate::fault::{ExecOptions, FaultStats, QuietPanics, INJECTED_FAULT_PREFIX, POISON_STRIKES};
+use crate::engine::{open_store, relock, worker_loop, DagRun, Observer, Sched, Step};
+use crate::error::{ExecError, StallCause};
+use crate::fault::{ExecOptions, FaultStats, QuietPanics, POISON_STRIKES};
 use crate::graph::TaskGraph;
-use crate::integrity::{GuardStore, IntegrityMode};
-use crate::sched::{self, SchedPolicy};
+use crate::sched::SchedPolicy;
 use crate::store::TileStore;
 use crate::task::Task;
 use hqr_kernels::KernelKind;
@@ -213,6 +206,21 @@ pub struct WorkerCounters {
     pub tile_spills: u64,
 }
 
+impl WorkerCounters {
+    /// Accumulate another worker's (or segment's) counters into these.
+    pub(crate) fn merge(&mut self, other: &WorkerCounters) {
+        self.local_pops += other.local_pops;
+        self.injector_pops += other.injector_pops;
+        self.steals += other.steals;
+        self.panics_caught += other.panics_caught;
+        self.retries += other.retries;
+        self.requeues += other.requeues;
+        self.tile_faults += other.tile_faults;
+        self.prefetch_hits += other.prefetch_hits;
+        self.tile_spills += other.tile_spills;
+    }
+}
+
 /// What a scheduler instant event marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InstantKind {
@@ -312,62 +320,11 @@ impl ExecTrace {
     }
 }
 
-/// Execute the DAG on `nthreads` worker threads with work stealing.
-///
-/// Newly-enabled tasks go to the completing worker's LIFO deque, so a core
-/// preferentially runs close successors of the task it just finished — the
-/// data-reuse heuristic of DAGuE (§IV-C). Idle workers steal FIFO from
-/// peers or from the global injector.
-pub fn execute_parallel(graph: &TaskGraph, a: &mut TiledMatrix, nthreads: usize) -> TFactors {
-    let b = graph.b();
-    let (f, _) = run_parallel(graph, a, nthreads, false, b);
-    f
-}
-
-/// [`execute_parallel`] with an explicit inner block size (PLASMA's IB).
-pub fn execute_parallel_ib(
-    graph: &TaskGraph,
-    a: &mut TiledMatrix,
-    nthreads: usize,
-    ib: usize,
-) -> TFactors {
-    let (f, _) = run_parallel(graph, a, nthreads, false, ib);
-    f
-}
-
-/// [`execute_parallel`] with a full execution trace (per-task worker and
-/// timestamps) for scheduling analysis.
-pub fn execute_parallel_traced(
-    graph: &TaskGraph,
-    a: &mut TiledMatrix,
-    nthreads: usize,
-) -> (TFactors, ExecTrace) {
-    let b = graph.b();
-    let (f, t) = run_parallel(graph, a, nthreads, true, b);
-    (f, t.expect("tracing requested"))
-}
-
-/// Execute with typed errors: a kernel panic is reported as
-/// [`ExecError::WorkerPanicked`] instead of unwinding through the caller.
-pub fn try_execute_serial(graph: &TaskGraph, a: &mut TiledMatrix) -> Result<TFactors, ExecError> {
-    try_execute_with(graph, a, &ExecOptions::with_threads(1)).map(|(f, _)| f)
-}
-
-/// Execute on `nthreads` workers with typed errors: a kernel panic halts
-/// the sibling workers and is reported as [`ExecError::WorkerPanicked`]
-/// instead of deadlocking the pool.
-pub fn try_execute_parallel(
-    graph: &TaskGraph,
-    a: &mut TiledMatrix,
-    nthreads: usize,
-) -> Result<TFactors, ExecError> {
-    try_execute_with(graph, a, &ExecOptions::with_threads(nthreads)).map(|(f, _)| f)
-}
-
 /// Fault-tolerant execution with full control: worker count, inner block
 /// size, per-task retry with write-set rollback, deterministic fault
 /// injection and a stall watchdog. Returns the factors plus recovery
-/// accounting.
+/// accounting. A kernel panic halts the sibling workers and is reported as
+/// a typed [`ExecError`] instead of unwinding through the caller.
 ///
 /// Because a failed attempt is rolled back to the task's pre-execution
 /// state before re-running, and the kernels are deterministic, a recovered
@@ -394,24 +351,6 @@ pub fn try_execute_traced(
     Ok((f, stats, trace.expect("tracing requested")))
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast_ref::<&str>() {
-        Some(s) => (*s).to_string(),
-        None => match payload.downcast_ref::<String>() {
-            Some(s) => s.clone(),
-            None => "non-string panic payload".to_string(),
-        },
-    }
-}
-
-/// Lock a mutex, tolerating poisoning: the engine's own `catch_unwind`
-/// keeps kernel panics from unwinding through a held lock, but a daemon
-/// hosting many jobs must never let one panicked thread wedge the whole
-/// process behind a poisoned mutex.
-pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 fn set_error(slot: &Mutex<Option<ExecError>>, e: ExecError) {
     let mut guard = relock(slot);
     if guard.is_none() {
@@ -419,332 +358,47 @@ fn set_error(slot: &Mutex<Option<ExecError>>, e: ExecError) {
     }
 }
 
-/// Diagnostic snapshot of the scheduler state for [`ExecError::Stalled`].
-fn stall_report(
-    cause: StallCause,
-    timeout: Duration,
-    indeg: &[AtomicU32],
-    done: &[AtomicBool],
-    remaining: usize,
-) -> StallReport {
-    const CAP: usize = 16;
-    let mut completed = 0;
-    let mut stuck_frontier = Vec::new();
-    let mut blocked = Vec::new();
-    let mut truncated = false;
-    for tid in 0..indeg.len() {
-        if done[tid].load(Ordering::Acquire) {
-            completed += 1;
-            continue;
-        }
-        let d = indeg[tid].load(Ordering::Acquire);
-        if d == 0 {
-            if stuck_frontier.len() < CAP {
-                stuck_frontier.push(tid as u32);
-            } else {
-                truncated = true;
-            }
-        } else if blocked.len() < CAP {
-            blocked.push((tid as u32, d));
-        } else {
-            truncated = true;
-        }
-    }
-    StallReport { cause, timeout, completed, remaining, stuck_frontier, blocked, truncated }
-}
-
-/// Nap length for an idle worker whose exponential backoff ladder is
-/// exhausted: long enough to stop burning the core through a serial tail,
-/// short enough that newly released work (and `halt`) is observed almost
-/// immediately.
-pub(crate) const IDLE_PARK: Duration = Duration::from_micros(100);
-
-/// The shared ready queue feeding idle workers: the legacy FIFO injector
-/// (with batch steals into the thief's deque), or — under a prioritizing
-/// [`SchedPolicy`] — a heap ordered by the policy's static priority keys,
-/// so releases are handed out best-priority-first instead of in arrival
-/// order.
-enum GlobalQueue {
-    Fifo(Injector<u32>),
-    Prio(Mutex<BinaryHeap<Reverse<(u64, u32)>>>),
-}
-
-impl GlobalQueue {
-    fn new(policy: SchedPolicy) -> GlobalQueue {
-        match policy {
-            SchedPolicy::Fifo => GlobalQueue::Fifo(Injector::new()),
-            _ => GlobalQueue::Prio(Mutex::new(BinaryHeap::new())),
-        }
-    }
-
-    /// Enqueue `tid` under its priority key (ignored by the FIFO queue).
-    fn push(&self, tid: u32, ranks: &[u64]) {
-        match self {
-            GlobalQueue::Fifo(inj) => inj.push(tid),
-            GlobalQueue::Prio(q) => relock(q).push(Reverse((ranks[tid as usize], tid))),
-        }
-    }
-
-    /// Take the next task: lowest key first for the heap; for the FIFO
-    /// injector a batch is stolen into `dest` and its first task returned.
-    fn take(&self, dest: &Worker<u32>) -> Steal<u32> {
-        match self {
-            GlobalQueue::Fifo(inj) => inj.steal_batch_and_pop(dest),
-            GlobalQueue::Prio(q) => match relock(q).pop() {
-                Some(Reverse((_, tid))) => Steal::Success(tid),
-                None => Steal::Empty,
-            },
-        }
-    }
-}
-
-/// Acquire one task for worker `me` from the global queue or a peer's
-/// deque, attributing the source in `counters`. Retries transient races
-/// ([`Steal::Retry`]) until every source reports a definite answer;
-/// returns `None` only when the global queue and all peers were empty.
-fn steal_one(
-    global: &GlobalQueue,
-    stealers: &[Stealer<u32>],
-    me: usize,
-    worker: &Worker<u32>,
-    counters: &mut WorkerCounters,
-) -> Option<u32> {
-    loop {
-        let mut contended = false;
-        match global.take(worker) {
-            Steal::Success(tid) => {
-                counters.injector_pops += 1;
-                return Some(tid);
-            }
-            Steal::Retry => contended = true,
-            Steal::Empty => {}
-        }
-        // Start the victim scan just past `me` and wrap, so a herd of idle
-        // workers fans out across victims instead of all draining the
-        // lowest-index deques first.
-        let n = stealers.len();
-        for off in 1..n {
-            match stealers[(me + off) % n].steal() {
-                Steal::Success(tid) => {
-                    counters.steals += 1;
-                    return Some(tid);
-                }
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
-        }
-    }
-}
-
-/// Everything one worker thread accumulates privately and hands back when
-/// the scope joins.
-#[derive(Default)]
+/// One worker's private trace, handed back when the scope joins.
 struct WorkerLog {
+    /// Run start; `None` for an untraced run.
+    epoch: Option<Instant>,
+    worker: u16,
+    /// Start of the task in flight (s since `epoch`).
+    start: f64,
     records: Vec<TaskRecord>,
     instants: Vec<ExecInstant>,
     counters: WorkerCounters,
     stats: FaultStats,
 }
 
-/// Everything the shared attempt ladder needs, independent of which
-/// executor is driving it — the single-job engine below or the multi-job
-/// [`crate::pool::JobPool`]. Both push a ready task through the exact same
-/// sequence: optional input-guard pre-check, write-set snapshot,
-/// `catch_unwind` around the kernel (with planned fault/SDC injection),
-/// output-guard verification, and rollback + bounded retry.
-pub(crate) struct AttemptCtx<'a> {
-    pub store: &'a TileStore,
-    pub guards: Option<&'a GuardStore>,
-    pub plan: Option<&'a crate::fault::FaultPlan>,
-    /// Per-task retry budget after a caught panic or detected corruption.
-    pub max_retries: u32,
-    /// Snapshot/rollback enabled (retries or a fault plan are configured).
-    pub recovery: bool,
-    /// [`IntegrityMode::Full`]: verify input guards before launching.
-    pub full_integrity: bool,
-    /// This worker is poisoned by the fault plan (engine only).
-    pub poisoned: bool,
-    /// Worker index, for injected panic messages.
-    pub me: usize,
-    /// Run-level halt flag, re-checked between retry attempts so a long
-    /// retry ladder yields promptly to cancel/deadline/drain instead of
-    /// burning through its whole budget first.
-    pub halt: Option<&'a AtomicBool>,
+impl WorkerLog {
+    fn now(&self) -> Option<f64> {
+        self.epoch.map(|e| e.elapsed().as_secs_f64())
+    }
 }
 
-/// How one task's execution attempt sequence ended.
-pub(crate) enum AttemptEnd {
-    /// Completed (after `retried` ≥ 1 rolled-back attempts, possibly 0).
-    Done { retried: bool, recomputed_sdc: bool },
-    /// A poisoned worker gave the task back to its peers.
-    Requeue,
-    /// Out of retry budget (or no recovery enabled): abort the run.
-    /// `attempts` counts every attempt made (initial try plus retries).
-    Fail { attempts: u32, message: String },
-    /// A commit-time guard mismatch persisted past the recompute budget
-    /// (or no snapshot was available to recompute from): abort the run.
-    /// `attempts` counts the recompute attempts made.
-    Sdc { attempts: u32, slot: String, message: String },
-    /// A pre-launch check found the task's *inputs* corrupted — damage
-    /// re-running this task cannot heal.
-    InputSdc { slot: String, message: String },
-    /// Paged runs only: pinning the task's slots failed — a spill-file
-    /// I/O error or an at-rest checksum mismatch. Nothing ran; abort.
-    SpillFault { message: String },
-    /// The run was halted (cancel, deadline, drain, or a sibling's error)
-    /// between attempts; the task's write set is back in its pre-attempt
-    /// state and the task is NOT done.
-    Aborted,
-}
+impl Observer for WorkerLog {
+    fn instant(&mut self, kind: InstantKind, task: u32) {
+        if let Some(time) = self.now() {
+            self.instants.push(ExecInstant { kind, task, worker: self.worker, time });
+        }
+    }
 
-/// Run one ready task through the full attempt ladder.
-///
-/// # Safety (discharged by the caller's scheduler)
-/// `t` must be ready — every predecessor completed, `t` itself not — so
-/// DAG order guarantees this worker holds exclusive access to `t`'s
-/// read/write sets for the kernel, the snapshot, and the guard updates.
-pub(crate) fn attempt_task(
-    ctx: &AttemptCtx<'_>,
-    t: &Task,
-    tid: u32,
-    wstats: &mut FaultStats,
-    counters: &mut WorkerCounters,
-    instant: &mut dyn FnMut(InstantKind),
-) -> AttemptEnd {
-    // Paged runs: pin every slot the task touches (faulting misses in from
-    // the spill file) before anything — guard checks, snapshot, kernel —
-    // reads or writes them. The pins outlive the whole ladder, so evicted
-    // buffers can't move under a snapshot's raw pointers. Fallible, not
-    // panicking: this runs outside the `catch_unwind` perimeter below.
-    let pins = match ctx.store.pin_task(t) {
-        Ok(p) => p,
-        Err(message) => return AttemptEnd::SpillFault { message },
-    };
-    if let Some(p) = &pins {
-        counters.tile_faults += p.demand_faults;
-        counters.prefetch_hits += p.prefetch_hits;
-        counters.tile_spills += p.evictions;
-        if p.demand_faults > 0 {
-            instant(InstantKind::TileFaulted);
-        }
-        if p.evictions > 0 {
-            instant(InstantKind::TileSpilled);
-        }
-    }
-    if ctx.full_integrity {
-        // SAFETY: `tid` is ready, so DAG order guarantees no concurrent
-        // writer of its read or write set.
-        if let Some(m) = ctx.guards.and_then(|g| unsafe { g.verify_inputs(ctx.store, t) }) {
-            // Corrupted *inputs* cannot be healed by re-running this task.
-            wstats.sdc_detected += 1;
-            instant(InstantKind::SdcDetected);
-            return AttemptEnd::InputSdc { slot: m.label(), message: m.mismatch.to_string() };
-        }
-    }
-    // SAFETY: exclusive access per the function contract — for the kernel
-    // and the snapshot alike.
-    let snap = ctx.recovery.then(|| unsafe { ctx.store.snapshot(t) });
-    let mut attempt = 0u32;
-    let mut recomputed_sdc = false;
-    loop {
-        // Between attempts the write set is consistent (pristine or rolled
-        // back), so this is a safe point to yield to a run-level halt.
-        if ctx.halt.is_some_and(|h| h.load(Ordering::Acquire)) {
-            return AttemptEnd::Aborted;
-        }
-        let inject = ctx.poisoned || ctx.plan.is_some_and(|p| p.should_fail_attempt(tid, attempt));
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if inject {
-                panic!(
-                    "{INJECTED_FAULT_PREFIX}: task {tid} attempt {attempt} on worker {}",
-                    ctx.me
-                );
-            }
-            // SAFETY: DAG order, as above.
-            unsafe { ctx.store.run_task(t) };
-        }));
-        match run {
-            Ok(()) => {
-                // Kernel-postcondition hook: refresh the write-set guards
-                // from the fresh output while it is "hot". The window
-                // between this hook and the commit-time check below is
-                // where an SDC strike lands.
-                if let Some(g) = ctx.guards {
-                    // SAFETY: DAG order, as above.
-                    unsafe { g.refresh_task(ctx.store, t) };
-                }
-                if attempt == 0 {
-                    if let Some(fault) = ctx.plan.and_then(|p| p.sdc_for(tid)) {
-                        // The strike happens regardless of the integrity
-                        // mode — only the *verification* is optional.
-                        // SAFETY: DAG order, as above.
-                        unsafe { ctx.store.apply_sdc(t, &fault) };
-                        wstats.sdc_injected += 1;
-                    }
-                }
-                let found = ctx.guards.and_then(|g| unsafe { g.verify_outputs(ctx.store, t) });
-                let Some(m) = found else {
-                    return AttemptEnd::Done { retried: attempt > 0, recomputed_sdc };
-                };
-                wstats.sdc_detected += 1;
-                instant(InstantKind::SdcDetected);
-                if let Some(s) = &snap {
-                    // SAFETY: exclusive access, as above.
-                    unsafe { ctx.store.rollback(s) };
-                    wstats.tiles_rolled_back += s.tiles() as u32;
-                }
-                if snap.is_some() && attempt < ctx.max_retries {
-                    attempt += 1;
-                    wstats.tasks_reexecuted += 1;
-                    counters.retries += 1;
-                    recomputed_sdc = true;
-                    instant(InstantKind::SdcRecomputed);
-                    continue;
-                }
-                return AttemptEnd::Sdc {
-                    attempts: attempt,
-                    slot: m.label(),
-                    message: m.mismatch.to_string(),
-                };
-            }
-            Err(payload) => {
-                wstats.panics_caught += 1;
-                counters.panics_caught += 1;
-                instant(InstantKind::PanicCaught);
-                if let Some(s) = &snap {
-                    // SAFETY: exclusive access, as above.
-                    unsafe { ctx.store.rollback(s) };
-                    wstats.tiles_rolled_back += s.tiles() as u32;
-                }
-                if ctx.poisoned {
-                    return AttemptEnd::Requeue;
-                }
-                if snap.is_some() && attempt < ctx.max_retries {
-                    attempt += 1;
-                    wstats.tasks_reexecuted += 1;
-                    counters.retries += 1;
-                    instant(InstantKind::Retry);
-                    continue;
-                }
-                return AttemptEnd::Fail { attempts: attempt + 1, message: panic_message(payload) };
-            }
+    fn done(&mut self, task: u32) {
+        if let Some(end) = self.now() {
+            self.records.push(TaskRecord { task, worker: self.worker, start: self.start, end });
         }
     }
 }
 
 /// The shared executor engine behind every parallel entry point.
 ///
-/// Workers pull tasks work-stealing style exactly as before; on top of
-/// that, each task runs inside `catch_unwind` so a panicking kernel (real
-/// or injected by the [`crate::FaultPlan`]) can be retried against a
+/// Workers pull tasks through the work-stealing core in [`crate::engine`];
+/// each task runs inside `catch_unwind` so a panicking kernel (real or
+/// injected by the [`crate::FaultPlan`]) can be retried against a
 /// pre-execution snapshot of its write-set, reported as a typed error, or —
 /// for poisoned workers — handed back to healthy peers. A watchdog thread
-/// converts lack of progress into [`ExecError::Stalled`], and the final
-/// "pending tasks" state of the old executor is a typed error instead of
-/// an assert.
+/// converts lack of progress into [`ExecError::Stalled`].
 fn run_engine(
     graph: &TaskGraph,
     a: &mut TiledMatrix,
@@ -760,15 +414,8 @@ fn run_engine(
 /// The engine behind [`run_engine`] and the checkpoint/resume drivers in
 /// [`crate::checkpoint`]: run the sub-DAG of tasks with index `< limit`
 /// that are not already marked in `completed`, writing into a
-/// caller-provided [`TFactors`].
-///
-/// Program order is panel-major and topological, and every predecessor of
-/// a task precedes it in the task list, so a prefix `0..limit` at a panel
-/// boundary is dependency-closed: running it to quiescence yields a
-/// consistent state that can be serialized and later resumed. `completed`
-/// must be closed under predecessors (every predecessor of a completed
-/// task is completed); the ready frontier is reconstructed by discounting
-/// completed predecessors from each remaining task's in-degree.
+/// caller-provided [`TFactors`]. See [`DagRun::new`] for why a prefix at a
+/// panel boundary quiesces into a consistent, resumable state.
 pub(crate) fn run_engine_segment(
     graph: &TaskGraph,
     a: &mut TiledMatrix,
@@ -812,341 +459,113 @@ pub(crate) fn run_engine_segment(
             ),
         });
     }
-    let plan = opts.plan.as_ref().filter(|p| !p.is_empty());
-    if plan.is_some_and(|p| p.loses_any_completion()) && opts.watchdog.is_none() {
+    if opts.plan.as_ref().is_some_and(|p| p.loses_any_completion()) && opts.watchdog.is_none() {
         return Err(ExecError::Config {
             message: "a fault plan that loses completions requires a watchdog".to_string(),
         });
     }
     let recovery = opts.recovery_enabled();
-    let is_done = |tid: usize| completed.is_some_and(|c| c[tid]);
 
     let epoch = Instant::now();
-    // Page the tile store when a resident budget is set and the run's
-    // allocated buffers exceed it; otherwise keep the flat resident store
-    // (zero per-access overhead, bitwise-identical results either way).
-    let tile_bytes = (b * b * 8) as u64;
-    let allocated_slots = a.mt() * a.nt()
-        + [&f.vg, &f.tg, &f.tk]
-            .iter()
-            .map(|fam| fam.iter().filter(|s| s.is_some()).count())
-            .sum::<usize>();
-    let allocated_bytes = allocated_slots as u64 * tile_bytes;
-    let mut store = match opts.resident_budget.filter(|&rb| rb < allocated_bytes) {
-        Some(rb) => TileStore::paged_with_ib(a, f, ib, rb, opts.spill_dir.as_deref())
-            .map_err(|message| ExecError::SpillIo { message })?,
-        None => TileStore::with_ib(a, f, ib),
-    };
-    // One guard per slot, shared by all workers under the same DAG
-    // exclusive-writer discipline as the tile buffers themselves.
-    let guard_store = opts.integrity.is_on().then(|| GuardStore::new(graph.mt(), graph.nt()));
-    // Reconstruct the frontier: a remaining task's effective in-degree
-    // counts only its not-yet-completed predecessors.
-    let mut indeg0: Vec<u32> = graph.in_degrees().to_vec();
-    if completed.is_some() {
-        for t in 0..n {
-            if is_done(t) {
-                for &s in graph.successors(t) {
-                    indeg0[s as usize] -= 1;
-                }
-            }
-        }
+    let store = open_store(graph, a, f, ib, opts.resident_budget, opts.spill_dir.as_deref())
+        .map_err(|message| ExecError::SpillIo { message })?;
+    let (run, frontier) = DagRun::new(graph, store, opts, completed, limit);
+    let (sched, seats) = Sched::new(nthreads, opts.policy != SchedPolicy::Fifo);
+    for tid in frontier {
+        sched.push((tid, run.ranks[tid as usize]));
     }
-    let active = (0..limit).filter(|&t| !is_done(t)).count();
-    let indeg: Vec<AtomicU32> = indeg0.iter().map(|&d| AtomicU32::new(d)).collect();
-    let done: Vec<AtomicBool> = (0..n).map(|t| AtomicBool::new(is_done(t))).collect();
-    let remaining = AtomicUsize::new(active);
     let alive = AtomicUsize::new(nthreads);
-    let halt = AtomicBool::new(false);
     let error: Mutex<Option<ExecError>> = Mutex::new(None);
-    // Static priority keys under the active policy (lower sorts first);
-    // the FIFO queue ignores them.
-    let ranks: Vec<u64> = sched::priorities(graph, opts.policy);
-    let global = GlobalQueue::new(opts.policy);
-    for (tid, &d) in indeg0.iter().enumerate().take(limit) {
-        if d == 0 && !is_done(tid) {
-            // Ready-frontier lookahead: queue the seed tasks' slots for
-            // background fault-in before any worker runs.
-            store.prefetch_task(&graph.tasks()[tid]);
-            global.push(tid as u32, &ranks);
-        }
-    }
-    let workers: Vec<Worker<u32>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
-    let mut logs: Vec<WorkerLog> = (0..nthreads).map(|_| WorkerLog::default()).collect();
+    let mut logs: Vec<WorkerLog> = (0..nthreads)
+        .map(|me| WorkerLog {
+            epoch: trace.then_some(epoch),
+            worker: me as u16,
+            start: 0.0,
+            records: Vec::new(),
+            instants: Vec::new(),
+            counters: WorkerCounters::default(),
+            stats: FaultStats::default(),
+        })
+        .collect();
 
     std::thread::scope(|scope| {
         if let Some(window) = opts.watchdog {
-            let (remaining, halt, error) = (&remaining, &halt, &error);
-            let (indeg, done) = (&indeg, &done);
+            let (run, error) = (&run, &error);
             scope.spawn(move || {
                 // Short poll slices, and shutdown checked *before* each
-                // sleep: a worker error (`halt`) or completion must not pay
-                // another full poll interval of join latency. The stall
+                // sleep: a worker error (`halted`) or completion must not
+                // pay another full poll interval of join latency. The stall
                 // window itself is still measured against `last_change`, so
                 // polling more often than window/8 only sharpens detection.
                 let poll = (window / 8).clamp(Duration::from_millis(1), Duration::from_millis(5));
-                let mut last = remaining.load(Ordering::Acquire);
+                let mut last = run.remaining.load(Ordering::Acquire);
                 let mut last_change = Instant::now();
                 loop {
-                    let rem = remaining.load(Ordering::Acquire);
-                    if rem == 0 || halt.load(Ordering::Acquire) {
+                    let rem = run.remaining.load(Ordering::Acquire);
+                    if rem == 0 || run.halted.load(Ordering::Acquire) {
                         break;
                     }
                     if rem != last {
                         last = rem;
                         last_change = Instant::now();
                     } else if last_change.elapsed() >= window {
-                        set_error(
-                            error,
-                            ExecError::Stalled(stall_report(
-                                StallCause::WatchdogTimeout,
-                                window,
-                                indeg,
-                                done,
-                                rem,
-                            )),
-                        );
-                        halt.store(true, Ordering::Release);
+                        let report = run.stall_report(StallCause::WatchdogTimeout, window, rem);
+                        set_error(error, ExecError::Stalled(report));
+                        run.halted.store(true, Ordering::Release);
                         break;
                     }
                     std::thread::sleep(poll);
                 }
             });
         }
-        for ((me, worker), log) in workers.into_iter().enumerate().zip(logs.iter_mut()) {
-            let store = &store;
-            let guards = guard_store.as_ref();
-            let (indeg, done) = (&indeg, &done);
-            let (remaining, alive, halt, error) = (&remaining, &alive, &halt, &error);
-            let global = &global;
-            // Under a prioritizing policy the release path consults the
-            // rank table; `None` selects the legacy all-local FIFO path.
-            let prio: Option<&[u64]> =
-                (opts.policy != SchedPolicy::Fifo).then_some(ranks.as_slice());
-            let ranks = ranks.as_slice();
-            let stealers = &stealers;
-            let tasks: &[Task] = graph.tasks();
-            let graph = &*graph;
+        for (mut seat, log) in seats.into_iter().zip(logs.iter_mut()) {
+            let (run, sched, alive, error) = (&run, &sched, &alive, &error);
             scope.spawn(move || {
                 // Expected (caught) panics shouldn't spam stderr through
                 // the panic hook while recovery is handling them — but
                 // only on this worker thread; the rest of the process
                 // keeps its backtraces.
                 let _quiet = recovery.then(QuietPanics::engage);
-                let backoff = Backoff::new();
-                let poisoned = plan.is_some_and(|p| p.is_poisoned(me));
+                seat.poisoned = run.plan.as_ref().is_some_and(|p| p.is_poisoned(seat.me));
                 let mut strikes = 0u32;
-                let wstats = &mut log.stats;
-                let counters = &mut log.counters;
-                let mut instant = |kind: InstantKind, task: u32| {
-                    if trace {
-                        log.instants.push(ExecInstant {
-                            kind,
-                            task,
-                            worker: me as u16,
-                            time: epoch.elapsed().as_secs_f64(),
-                        });
+                worker_loop(sched, &mut seat, &run.halted, Some(&run.remaining), |tid, seat| {
+                    if let Some(t) = log.now() {
+                        log.start = t;
                     }
-                };
-                loop {
-                    if halt.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let next = match worker.pop() {
-                        Some(tid) => {
-                            counters.local_pops += 1;
-                            Some(tid)
-                        }
-                        None => steal_one(global, stealers, me, &worker, counters),
-                    };
-                    let Some(tid) = next else {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        if backoff.is_completed() {
-                            // The spin/yield ladder is exhausted: park in
-                            // bounded naps instead of burning the core
-                            // through a long serial tail. New work is still
-                            // picked up within ~IDLE_PARK. Re-check `halt`
-                            // first: a cancel/abort raised while this worker
-                            // was scanning must not pay another park of
-                            // shutdown latency.
-                            if halt.load(Ordering::Acquire) {
-                                break;
-                            }
-                            std::thread::sleep(IDLE_PARK);
-                        } else {
-                            backoff.snooze();
-                        }
-                        continue;
-                    };
-                    backoff.reset();
-                    let t = &tasks[tid as usize];
-                    let ctx = AttemptCtx {
-                        store,
-                        guards,
-                        plan,
-                        max_retries: opts.max_retries,
-                        recovery,
-                        full_integrity: opts.integrity == IntegrityMode::Full,
-                        poisoned,
-                        me,
-                        halt: Some(halt),
-                    };
-                    let t0 = trace.then(|| epoch.elapsed().as_secs_f64());
-                    // SAFETY contract of `attempt_task`: every predecessor
-                    // of `tid` has completed (its in-degree reached 0) and
-                    // `tid` has not, so its read/write sets are exclusively
-                    // this worker's until completion.
-                    let outcome =
-                        attempt_task(&ctx, t, tid, wstats, counters, &mut |k| instant(k, tid));
-                    match outcome {
-                        AttemptEnd::Done { retried, recomputed_sdc } => {
-                            if retried {
-                                wstats.tasks_recovered += 1;
-                            }
-                            if recomputed_sdc {
-                                wstats.sdc_recomputed += 1;
-                            }
-                            if let Some(start) = t0 {
-                                log.records.push(TaskRecord {
-                                    task: tid,
-                                    worker: me as u16,
-                                    start,
-                                    end: epoch.elapsed().as_secs_f64(),
-                                });
-                            }
-                            done[tid as usize].store(true, Ordering::Release);
-                            if plan.is_some_and(|p| p.loses_completion(tid)) {
-                                // Dropped completion: successors are never
-                                // released and `remaining` stays high; the
-                                // (mandatory) watchdog reports the stall.
-                                continue;
-                            }
-                            // Successors past the segment limit stay
-                            // pending for the next segment/resume. Under
-                            // FIFO every released successor goes to this
-                            // worker's LIFO deque (the data-reuse heuristic
-                            // of DAGuE §IV-C); under a prioritizing policy
-                            // the worker keeps only the best-ranked release
-                            // for itself and publishes the rest on the
-                            // shared priority queue, so the globally most
-                            // urgent work is never buried in one deque.
-                            let mut keep: Option<u32> = None;
-                            for &s in graph.successors(tid as usize) {
-                                if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1
-                                    && (s as usize) < limit
-                                {
-                                    // The successor just became ready:
-                                    // prefetch its slots so the fault-in
-                                    // overlaps whatever runs before it.
-                                    store.prefetch_task(&tasks[s as usize]);
-                                    match prio {
-                                        None => worker.push(s),
-                                        Some(p) => match keep {
-                                            Some(k) if p[s as usize] < p[k as usize] => {
-                                                global.push(k, p);
-                                                keep = Some(s);
-                                            }
-                                            Some(_) => global.push(s, p),
-                                            None => keep = Some(s),
-                                        },
-                                    }
-                                }
-                            }
-                            if let Some(s) = keep {
-                                worker.push(s);
-                            }
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        AttemptEnd::Requeue => {
+                    match run.step(graph, tid, sched, seat, |s, rank| (s, rank), log) {
+                        Step::Done => true,
+                        Step::Requeue => {
                             strikes += 1;
-                            wstats.tasks_reexecuted += 1;
-                            counters.requeues += 1;
-                            instant(InstantKind::Requeue, tid);
-                            global.push(tid, ranks);
-                            if strikes >= POISON_STRIKES {
-                                // The poisoned worker "dies"; its queued
-                                // work stays stealable by healthy peers.
-                                wstats.workers_lost += 1;
-                                break;
-                            }
+                            seat.stats.tasks_reexecuted += 1;
+                            seat.counters.requeues += 1;
+                            log.instant(InstantKind::Requeue, tid);
+                            sched.push((tid, run.ranks[tid as usize]));
+                            // After POISON_STRIKES the poisoned worker
+                            // "dies"; its queued work stays stealable by
+                            // healthy peers.
+                            let dies = strikes >= POISON_STRIKES;
+                            seat.stats.workers_lost += dies as u32;
+                            !dies
                         }
-                        AttemptEnd::Sdc { attempts, slot, message } => {
-                            set_error(
-                                error,
-                                ExecError::SdcDetected {
-                                    task: tid,
-                                    kernel: t.kind,
-                                    slot,
-                                    attempts,
-                                    message,
-                                },
-                            );
-                            halt.store(true, Ordering::Release);
-                            break;
-                        }
-                        AttemptEnd::InputSdc { slot, message } => {
-                            set_error(
-                                error,
-                                ExecError::SdcDetected {
-                                    task: tid,
-                                    kernel: t.kind,
-                                    slot,
-                                    attempts: 0,
-                                    message,
-                                },
-                            );
-                            halt.store(true, Ordering::Release);
-                            break;
-                        }
-                        AttemptEnd::Aborted => {
-                            // Someone else halted the run and recorded why;
-                            // the task is untouched and not done.
-                            break;
-                        }
-                        AttemptEnd::SpillFault { message } => {
-                            set_error(error, ExecError::SpillIo { message });
-                            halt.store(true, Ordering::Release);
-                            break;
-                        }
-                        AttemptEnd::Fail { attempts, message } => {
-                            let e = if recovery {
-                                ExecError::TaskFailed {
-                                    task: tid,
-                                    kernel: t.kind,
-                                    attempts,
-                                    message,
-                                }
-                            } else {
-                                ExecError::WorkerPanicked {
-                                    task: tid,
-                                    kernel: t.kind,
-                                    worker: me,
-                                    message,
-                                }
-                            };
+                        // Someone else halted the run and recorded why; the
+                        // task is untouched and not done.
+                        Step::Aborted => false,
+                        Step::Failed(e) => {
                             set_error(error, e);
-                            halt.store(true, Ordering::Release);
-                            break;
+                            run.halted.store(true, Ordering::Release);
+                            false
                         }
                     }
-                }
+                });
+                log.counters = seat.counters;
+                log.stats = seat.stats;
                 if alive.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let rem = remaining.load(Ordering::Acquire);
-                    if rem > 0 && !halt.load(Ordering::Acquire) {
-                        set_error(
-                            error,
-                            ExecError::Stalled(stall_report(
-                                StallCause::AllWorkersExited,
-                                Duration::ZERO,
-                                indeg,
-                                done,
-                                rem,
-                            )),
-                        );
-                        halt.store(true, Ordering::Release);
+                    let rem = run.remaining.load(Ordering::Acquire);
+                    if rem > 0 && !run.halted.load(Ordering::Acquire) {
+                        let report =
+                            run.stall_report(StallCause::AllWorkersExited, Duration::ZERO, rem);
+                        set_error(error, ExecError::Stalled(report));
+                        run.halted.store(true, Ordering::Release);
                     }
                 }
             });
@@ -1156,25 +575,21 @@ pub(crate) fn run_engine_segment(
     // on success *and* on error paths, so the matrix is never left hollow.
     // The traffic summary is snapshotted first: unpage mass-faults every
     // slot back in and would otherwise inflate the counters.
-    let spill = store.spill_summary();
-    let unpage_err = store.unpage(a, f).err();
+    let mut run = run;
+    let spill = run.store.spill_summary();
+    let unpage_err = run.store.unpage(a, f).err();
     if let Some(e) = error.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
         return Err(e);
     }
     if let Some(message) = unpage_err {
         return Err(ExecError::SpillIo { message });
     }
-    let rem = remaining.load(Ordering::Acquire);
+    let rem = run.remaining.load(Ordering::Acquire);
     if rem != 0 {
         // Unreachable by construction (every exit path above reports an
         // error first), but kept as a typed error rather than an assert.
-        return Err(ExecError::Stalled(stall_report(
-            StallCause::AllWorkersExited,
-            Duration::ZERO,
-            &indeg,
-            &done,
-            rem,
-        )));
+        let report = run.stall_report(StallCause::AllWorkersExited, Duration::ZERO, rem);
+        return Err(ExecError::Stalled(report));
     }
     let mut stats = FaultStats::default();
     for log in &logs {
@@ -1196,29 +611,19 @@ pub(crate) fn run_engine_segment(
     Ok((stats, exec_trace))
 }
 
-fn run_parallel(
-    graph: &TaskGraph,
-    a: &mut TiledMatrix,
-    nthreads: usize,
-    trace: bool,
-    ib: usize,
-) -> (TFactors, Option<ExecTrace>) {
-    assert!(nthreads > 0, "need at least one thread");
-    if nthreads == 1 && !trace {
-        return (execute_serial_ib(graph, a, ib), None);
-    }
-    let opts = ExecOptions { nthreads, ib: Some(ib), ..Default::default() };
-    match run_engine(graph, a, &opts, trace) {
-        Ok((f, _, t)) => (f, t),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::elim::ElimOp;
     use hqr_tile::DenseMatrix;
+
+    fn parallel(g: &TaskGraph, a: &mut TiledMatrix, nthreads: usize) -> TFactors {
+        try_execute_with(g, a, &ExecOptions::with_threads(nthreads)).unwrap().0
+    }
+
+    fn traced(g: &TaskGraph, a: &mut TiledMatrix, nthreads: usize) -> ExecTrace {
+        try_execute_traced(g, a, &ExecOptions::with_threads(nthreads)).unwrap().2
+    }
 
     fn flat_elims(mt: usize, nt: usize) -> Vec<ElimOp> {
         let mut v = Vec::new();
@@ -1290,7 +695,7 @@ mod tests {
         let mut a1 = hqr_tile::TiledMatrix::random(mt, nt, b, 11);
         let mut a2 = a1.clone();
         let _f1 = execute_serial(&g, &mut a1);
-        let _f2 = execute_parallel(&g, &mut a2, 4);
+        let _f2 = parallel(&g, &mut a2, 4);
         assert_eq!(a1.to_dense().data(), a2.to_dense().data(), "parallel != serial");
     }
 
@@ -1301,7 +706,7 @@ mod tests {
         let mut a1 = hqr_tile::TiledMatrix::random(mt, nt, b, 13);
         let mut a2 = a1.clone();
         let _ = execute_serial(&g, &mut a1);
-        let _ = execute_parallel(&g, &mut a2, 3);
+        let _ = parallel(&g, &mut a2, 3);
         assert_eq!(a1.to_dense().data(), a2.to_dense().data());
     }
 
@@ -1332,12 +737,12 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_parallel_falls_back_to_serial() {
+    fn single_thread_engine_matches_serial() {
         let g = TaskGraph::build(3, 3, 2, &flat_elims(3, 3));
         let mut a1 = hqr_tile::TiledMatrix::random(3, 3, 2, 19);
         let mut a2 = a1.clone();
         let _ = execute_serial(&g, &mut a1);
-        let _ = execute_parallel(&g, &mut a2, 1);
+        let _ = parallel(&g, &mut a2, 1);
         assert_eq!(a1.to_dense().data(), a2.to_dense().data());
     }
 
@@ -1347,8 +752,8 @@ mod tests {
         let g = TaskGraph::build(mt, nt, b, &binary_elims(mt, nt));
         let mut a1 = hqr_tile::TiledMatrix::random(mt, nt, b, 29);
         let mut a2 = a1.clone();
-        let _ = execute_parallel(&g, &mut a1, 3);
-        let (_, trace) = execute_parallel_traced(&g, &mut a2, 3);
+        let _ = parallel(&g, &mut a1, 3);
+        let trace = traced(&g, &mut a2, 3);
         assert_eq!(a1.to_dense().data(), a2.to_dense().data());
         assert_eq!(trace.records.len(), g.tasks().len(), "every task recorded");
         assert_eq!(trace.nthreads, 3);
@@ -1371,58 +776,49 @@ mod tests {
     fn traced_single_thread_works() {
         let g = TaskGraph::build(3, 2, 3, &flat_elims(3, 2));
         let mut a = hqr_tile::TiledMatrix::random(3, 2, 3, 30);
-        let (_, trace) = execute_parallel_traced(&g, &mut a, 1);
+        let trace = traced(&g, &mut a, 1);
         assert_eq!(trace.records.len(), g.tasks().len());
         assert_eq!(trace.nthreads, 1);
     }
 
     #[test]
-    fn steal_scan_starts_past_self() {
-        // Regression: the victim scan used to start at index 0, so every
-        // idle worker hammered the lowest-index deques first.
-        let global = GlobalQueue::new(SchedPolicy::Fifo);
-        let workers: Vec<Worker<u32>> = (0..4).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
-        for (i, w) in workers.iter().enumerate() {
-            if i != 1 {
-                w.push(i as u32 * 10);
-            }
-        }
-        let mut c = WorkerCounters::default();
-        let got = steal_one(&global, &stealers, 1, &workers[1], &mut c);
-        assert_eq!(got, Some(20), "worker 1 must try worker 2 first, not worker 0");
-        assert_eq!(c.steals, 1);
-        assert_eq!(c.injector_pops, 0);
-    }
-
-    #[test]
-    fn steal_scan_wraps_around() {
-        let global = GlobalQueue::new(SchedPolicy::Fifo);
-        let workers: Vec<Worker<u32>> = (0..4).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<u32>> = workers.iter().map(|w| w.stealer()).collect();
-        workers[0].push(7); // only worker 0 has work
-        let mut c = WorkerCounters::default();
-        let got = steal_one(&global, &stealers, 2, &workers[2], &mut c);
-        assert_eq!(got, Some(7), "scan from worker 2 must wrap 3 -> 0");
-        assert_eq!(c.steals, 1);
-        // Nothing anywhere: a definite miss, with counters untouched.
-        assert_eq!(steal_one(&global, &stealers, 2, &workers[2], &mut c), None);
-        assert_eq!(c.steals, 1);
-    }
-
-    #[test]
-    fn priority_queue_pops_best_rank_first() {
-        let global = GlobalQueue::new(SchedPolicy::CriticalPath);
-        let ranks = [5u64, 1, 9, 3];
-        for t in 0..4u32 {
-            global.push(t, &ranks);
-        }
-        let w = Worker::new_lifo();
-        let mut order = Vec::new();
-        while let Steal::Success(t) = global.take(&w) {
-            order.push(t);
-        }
-        assert_eq!(order, vec![1, 3, 0, 2], "lowest key first");
+    fn worker_counters_merge_adds_every_field() {
+        let a = WorkerCounters {
+            local_pops: 1,
+            injector_pops: 2,
+            steals: 3,
+            panics_caught: 4,
+            retries: 5,
+            requeues: 6,
+            tile_faults: 7,
+            prefetch_hits: 8,
+            tile_spills: 9,
+        };
+        let b = WorkerCounters {
+            local_pops: 10,
+            injector_pops: 20,
+            steals: 30,
+            panics_caught: 40,
+            retries: 50,
+            requeues: 60,
+            tile_faults: 70,
+            prefetch_hits: 80,
+            tile_spills: 90,
+        };
+        let mut sum = a;
+        sum.merge(&b);
+        let expect = WorkerCounters {
+            local_pops: 11,
+            injector_pops: 22,
+            steals: 33,
+            panics_caught: 44,
+            retries: 55,
+            requeues: 66,
+            tile_faults: 77,
+            prefetch_hits: 88,
+            tile_spills: 99,
+        };
+        assert_eq!(sum, expect);
     }
 
     #[test]

@@ -7,10 +7,14 @@
 //! (which tile each task reads and writes). The same [`TaskGraph`] feeds
 //! three consumers:
 //!
-//! * [`exec::execute_serial`] — in-order execution on one thread;
-//! * [`exec::execute_parallel`] — a work-stealing multithreaded executor
+//! * [`exec::execute_serial`] — in-order execution on one thread, the
+//!   reference every other backend is compared against bit for bit;
+//! * [`exec::try_execute_with`] — a work-stealing multithreaded executor
 //!   with data-reuse (LIFO) scheduling, mirroring DAGuE's "each core will
-//!   try to execute close successors of the last task it ran";
+//!   try to execute close successors of the last task it ran". The same
+//!   work-stealing core (one worker loop, one steal/park path, one shared
+//!   ready queue) also drives the multi-job [`JobPool`] and
+//!   [`apply_q_parallel`];
 //! * the `hqr-sim` crate — a discrete-event cluster simulator that replays
 //!   the DAG on a modeled distributed machine.
 
@@ -29,6 +33,7 @@ pub mod analysis;
 pub mod apply_graph;
 pub mod checkpoint;
 pub mod elim;
+mod engine;
 pub mod error;
 pub mod exec;
 pub mod fault;
@@ -53,9 +58,8 @@ pub use checkpoint::{
 pub use elim::ElimOp;
 pub use error::{ExecError, GraphError, StallCause, StallReport};
 pub use exec::{
-    execute_parallel, execute_parallel_ib, execute_parallel_traced, execute_serial,
-    execute_serial_ib, try_execute_parallel, try_execute_serial, try_execute_traced,
-    try_execute_with, ExecInstant, ExecTrace, InstantKind, TFactors, TaskRecord, WorkerCounters,
+    execute_serial, execute_serial_ib, try_execute_traced, try_execute_with, ExecInstant,
+    ExecTrace, InstantKind, TFactors, TaskRecord, WorkerCounters,
 };
 pub use fault::{ExecOptions, FaultPlan, FaultStats, SdcFault, SdcPattern, SDC_SCALE_FACTOR};
 pub use graph::TaskGraph;

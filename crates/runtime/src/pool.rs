@@ -10,7 +10,7 @@
 //! to a population of DAGs.
 //!
 //! Robustness is per-tenant policy, reusing the PR 1–5 substrate through
-//! the shared attempt ladder ([`crate::exec`]'s `attempt_task`):
+//! the shared attempt ladder of the work-stealing core (`engine.rs`):
 //!
 //! * **admission control** — a job's working-set footprint is priced at
 //!   submission; jobs that can never fit the memory budget are rejected,
@@ -28,12 +28,13 @@
 //!   PR-3 machinery), and persist the whole queue to one container file
 //!   that a restarted service can resubmit from.
 //!
-//! Scheduling across jobs is QoS-major: the shared ready heap orders tasks
-//! by (QoS class, admission order, per-job policy rank), so interactive
-//! jobs preempt batch work at task granularity while each job internally
-//! honors its own [`SchedPolicy`]. Workers keep the data-reuse LIFO deque
-//! of the single-job engine: the best-ranked released successor stays
-//! local, the rest are published to the shared heap.
+//! Scheduling across jobs is QoS-major: the pool's workers run the same
+//! work-stealing core as the single-job engine (`engine.rs`), with a
+//! shared ready heap keyed by (QoS class, admission order, per-job policy
+//! rank), so interactive jobs preempt batch work at task granularity while
+//! each job internally honors its own [`SchedPolicy`]. Workers keep the
+//! data-reuse LIFO deque: the best-ranked released successor stays local,
+//! the rest are published to the shared heap.
 //!
 //! Fault plans are supported per job (failure and SDC strikes), with two
 //! engine-only features rejected at submission: poisoned workers (worker
@@ -42,33 +43,30 @@
 //! persisted queues — injection is in-process test machinery.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam_deque::{Steal, Stealer, Worker};
-use crossbeam_utils::Backoff;
 
 use crate::checkpoint::{
     checkpoint_from_bytes, checkpoint_to_bytes, elims_from_words, elims_to_words,
     graph_fingerprint, read_checkpoint, write_checkpoint, Checkpoint, CheckpointError,
 };
 use crate::elim::ElimOp;
-use crate::error::ExecError;
-use crate::exec::{
-    attempt_task, relock, AttemptCtx, AttemptEnd, TFactors, WorkerCounters, IDLE_PARK,
+use crate::engine::{
+    open_store, relock, worker_loop, working_set_bytes, DagRun, Sched, Seat, Step,
 };
-use crate::fault::{FaultPlan, FaultStats};
+use crate::error::ExecError;
+use crate::exec::TFactors;
+use crate::fault::{ExecOptions, FaultPlan, FaultStats};
 use crate::graph::TaskGraph;
-use crate::integrity::{GuardStore, IntegrityMode};
+use crate::integrity::IntegrityMode;
 use crate::journal::{replay, result_to_bytes, Journal, JournalError, JournalEvent, ResultStore};
-use crate::sched::{self, SchedPolicy};
+use crate::sched::SchedPolicy;
 use crate::store::TileStore;
-use hqr_kernels::KernelKind;
 use hqr_tile::io::{bytes_of_u64s, u64s_of_bytes, BinFormatError, SectionReader, SectionWriter};
 use hqr_tile::TiledMatrix;
 
@@ -634,23 +632,14 @@ struct ActiveJob {
     seq: u64,
     qos_inv: u64,
     graph: TaskGraph,
-    ranks: Vec<u64>,
-    store: TileStore,
-    guards: Option<GuardStore>,
-    plan: Option<FaultPlan>,
-    max_retries: u32,
-    recovery: bool,
-    full_integrity: bool,
-    indeg: Vec<AtomicU32>,
-    done: Vec<AtomicBool>,
-    remaining: AtomicUsize,
+    /// DAG progress, tile store and attempt settings of this activation.
+    run: DagRun,
     /// Tasks remaining when this activation started — periodic
     /// checkpoints only fire once the activation has made progress.
     initial_remaining: usize,
     /// Workers currently holding (or about to run) one of this job's
     /// tasks. Finalization requires `halted-or-finished` AND `inflight == 0`.
     inflight: AtomicUsize,
-    halted: AtomicBool,
     verdict: Mutex<Option<Verdict>>,
     stats: Mutex<FaultStats>,
     started: Instant,
@@ -677,7 +666,13 @@ impl ActiveJob {
             *g = Some(v);
         }
         drop(g);
-        self.halted.store(true, Ordering::SeqCst);
+        self.run.halted.store(true, Ordering::SeqCst);
+    }
+
+    /// This job's queue item and heap key for task `tid` of rank `rank`:
+    /// QoS class first, then admission order, then the job's own policy.
+    fn tag(&self, tid: u32, rank: u64) -> (PoolItem, (u64, u64, u64)) {
+        ((self.rid, tid), (self.qos_inv, self.seq, rank))
     }
 }
 
@@ -782,7 +777,8 @@ pub struct QueueEntry {
     pub attempts: u32,
 }
 
-type ReadyKey = Reverse<(u64, u64, u64, u32, u64)>;
+/// A pool queue entry: (activation id, task id).
+type PoolItem = (u64, u32);
 
 struct Shared {
     cfg: PoolConfig,
@@ -793,8 +789,9 @@ struct Shared {
     records: Mutex<HashMap<u64, JobRecord>>,
     waiters: Condvar,
     active: RwLock<HashMap<u64, Arc<ActiveJob>>>,
-    /// Shared ready heap: (qos_inv, seq, rank, tid, rid), min-ordered.
-    ready: Mutex<BinaryHeap<ReadyKey>>,
+    /// Work-stealing core shared by every job, its heap keyed by
+    /// (qos_inv, seq, rank), min-ordered.
+    sched: Sched<PoolItem, (u64, u64, u64)>,
     cancel_requests: Mutex<Vec<u64>>,
     suspended: Mutex<Vec<SuspendedEntry>>,
     /// Jobs parked by an explicit suspend request, keyed by job id,
@@ -813,16 +810,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn push_ready(&self, job: &ActiveJob, tid: u32) {
-        relock(&self.ready).push(Reverse((
-            job.qos_inv,
-            job.seq,
-            job.ranks[tid as usize],
-            tid,
-            job.rid,
-        )));
-    }
-
     fn notify_records<R>(&self, f: impl FnOnce(&mut HashMap<u64, JobRecord>) -> R) -> R {
         let mut recs = relock(&self.records);
         let r = f(&mut recs);
@@ -868,22 +855,6 @@ fn cleanup_ckpt(shared: &Shared, id: u64) {
 pub struct JobPool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// Bytes resident for one admitted job: matrix tiles plus the factor
-/// buffers its graph allocates (guards are negligible next to either).
-fn working_set_bytes(graph: &TaskGraph) -> u64 {
-    let bb = (graph.b() * graph.b() * std::mem::size_of::<f64>()) as u64;
-    let tiles = (graph.mt() * graph.nt()) as u64;
-    let mut factor_bufs = 0u64;
-    for t in graph.tasks() {
-        factor_bufs += match t.kind {
-            KernelKind::Geqrt => 2,
-            KernelKind::Tsqrt | KernelKind::Ttqrt => 1,
-            _ => 0,
-        };
-    }
-    (tiles + factor_bufs) * bb
 }
 
 fn invalid(message: impl Into<String>) -> SubmitError {
@@ -971,6 +942,9 @@ impl JobPool {
             }
             None => (None, None),
         };
+        // Every policy uses the keyed heap: the QoS-major order is what
+        // lets interactive jobs overtake batch work.
+        let (sched, seats) = Sched::new(nthreads, true);
         let shared = Arc::new(Shared {
             cfg: PoolConfig { nthreads, ..cfg },
             next_id: AtomicU64::new(1),
@@ -980,7 +954,7 @@ impl JobPool {
             records: Mutex::new(HashMap::new()),
             waiters: Condvar::new(),
             active: RwLock::new(HashMap::new()),
-            ready: Mutex::new(BinaryHeap::new()),
+            sched,
             cancel_requests: Mutex::new(Vec::new()),
             suspended: Mutex::new(Vec::new()),
             parked: Mutex::new(HashMap::new()),
@@ -992,17 +966,13 @@ impl JobPool {
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
         });
-        let workers: Vec<Worker<(u64, u32)>> = (0..nthreads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Arc<Vec<Stealer<(u64, u32)>>> =
-            Arc::new(workers.iter().map(Worker::stealer).collect());
         let mut handles = Vec::with_capacity(nthreads + 1);
-        for (me, local) in workers.into_iter().enumerate() {
+        for mut seat in seats {
             let shared = Arc::clone(&shared);
-            let stealers = Arc::clone(&stealers);
             handles.push(
                 std::thread::Builder::new()
-                    .name(format!("hqr-pool-{me}"))
-                    .spawn(move || worker_loop(&shared, me, &local, &stealers))
+                    .name(format!("hqr-pool-{}", seat.me))
+                    .spawn(move || pool_worker(&shared, &mut seat))
                     .expect("spawn pool worker"),
             );
         }
@@ -1437,7 +1407,7 @@ impl JobPool {
             let active = s.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
             active
                 .values()
-                .map(|j| (j.id, j.graph.tasks().len() - j.remaining.load(Ordering::Acquire)))
+                .map(|j| (j.id, j.graph.tasks().len() - j.run.remaining.load(Ordering::Acquire)))
                 .collect()
         };
         let recs = relock(&s.records);
@@ -1867,179 +1837,55 @@ pub fn load_queue(path: &Path) -> Result<Vec<QueueEntry>, QueueFormatError> {
 // Worker side
 // ---------------------------------------------------------------------------
 
-fn steal_pool_task(
-    shared: &Shared,
-    stealers: &[Stealer<(u64, u32)>],
-    me: usize,
-) -> Option<(u64, u32)> {
-    loop {
-        let mut contended = false;
-        if let Some(Reverse((_, _, _, tid, rid))) = relock(&shared.ready).pop() {
-            return Some((rid, tid));
-        }
-        let n = stealers.len();
-        for off in 1..n {
-            match stealers[(me + off) % n].steal() {
-                Steal::Success(e) => return Some(e),
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
-        }
-    }
-}
-
-fn worker_loop(
-    shared: &Shared,
-    me: usize,
-    local: &Worker<(u64, u32)>,
-    stealers: &[Stealer<(u64, u32)>],
-) {
+fn pool_worker(shared: &Shared, seat: &mut Seat<PoolItem>) {
     // Caught panics (injected faults, kernel bugs) are expected events on
     // this thread for the pool's whole lifetime — keep them off stderr.
     let _quiet = crate::fault::QuietPanics::engage();
-    let backoff = Backoff::new();
-    loop {
-        let next = match local.pop() {
-            Some(e) => Some(e),
-            None => steal_pool_task(shared, stealers, me),
-        };
-        let Some((rid, tid)) = next else {
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            if backoff.is_completed() {
-                // Same idle discipline as the engine: bounded naps once the
-                // spin ladder is exhausted, with the stop flag re-checked
-                // first so shutdown never pays an extra park.
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::sleep(IDLE_PARK);
-            } else {
-                backoff.snooze();
-            }
-            continue;
-        };
-        backoff.reset();
+    worker_loop(&shared.sched, seat, &shared.stop, None, |(rid, tid), seat| {
         let job = {
             let active = shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
             active.get(&rid).cloned()
         };
         // A missing rid means the incarnation already finalized (or was
         // retired by a retry); the queue entry is stale — skip it.
-        let Some(job) = job else { continue };
+        let Some(job) = job else { return true };
         // Inflight is raised BEFORE the halt check (and the supervisor
         // halts BEFORE reading inflight, both SeqCst), so finalization can
         // never observe inflight == 0 while this worker goes on to run a
         // task: either we see `halted` and bail, or the supervisor sees
         // our increment and waits.
         job.inflight.fetch_add(1, Ordering::SeqCst);
-        if !job.halted.load(Ordering::SeqCst) && !job.done[tid as usize].load(Ordering::Acquire) {
-            run_job_task(shared, &job, tid, me, local);
+        if !job.run.halted.load(Ordering::SeqCst)
+            && !job.run.done[tid as usize].load(Ordering::Acquire)
+        {
+            run_job_task(shared, &job, tid, seat);
         }
         job.inflight.fetch_sub(1, Ordering::SeqCst);
-    }
+        true
+    });
 }
 
-fn run_job_task(
-    shared: &Shared,
-    job: &Arc<ActiveJob>,
-    tid: u32,
-    me: usize,
-    local: &Worker<(u64, u32)>,
-) {
+fn run_job_task(shared: &Shared, job: &ActiveJob, tid: u32, seat: &mut Seat<PoolItem>) {
     // Deadlines bite when a worker picks up a task; the supervisor's
     // `enforce_deadlines` is the backstop for jobs no worker touches.
     if let Some(d) = job.deadline.filter(|&d| job.started.elapsed() > d) {
         job.halt_with(Verdict::Deadline(d));
         return;
     }
-    let t = &job.graph.tasks()[tid as usize];
-    let ctx = AttemptCtx {
-        store: &job.store,
-        guards: job.guards.as_ref(),
-        plan: job.plan.as_ref(),
-        max_retries: job.max_retries,
-        recovery: job.recovery,
-        full_integrity: job.full_integrity,
-        poisoned: false,
-        me,
-        halt: Some(&job.halted),
-    };
-    let mut wstats = FaultStats::default();
-    let mut counters = WorkerCounters::default();
-    // SAFETY contract of `attempt_task`: `tid` is ready (released by its
-    // last predecessor) and not done, so within this job's DAG this worker
-    // holds exclusive access to its read/write sets; distinct jobs never
-    // share buffers at all.
-    let end = attempt_task(&ctx, t, tid, &mut wstats, &mut counters, &mut |_| {});
-    if wstats != FaultStats::default() {
-        relock(&job.stats).merge(&wstats);
+    // `tid` is ready (released by its last predecessor) and not done, so
+    // within this job's DAG this worker holds exclusive access to its
+    // read/write sets; distinct jobs never share buffers at all.
+    let step = job.run.step(&job.graph, tid, &shared.sched, seat, |s, r| job.tag(s, r), &mut ());
+    let stats = std::mem::take(&mut seat.stats);
+    if stats != FaultStats::default() {
+        relock(&job.stats).merge(&stats);
     }
-    match end {
-        AttemptEnd::Done { .. } => {
-            job.done[tid as usize].store(true, Ordering::Release);
-            // Keep the best-ranked released successor local (data reuse),
-            // publish the rest on the shared QoS-major heap.
-            let mut keep: Option<u32> = None;
-            for &s in job.graph.successors(tid as usize) {
-                if job.indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Ready-frontier lookahead for paged jobs: start the
-                    // successor's fault-in while other tasks run.
-                    job.store.prefetch_task(&job.graph.tasks()[s as usize]);
-                    match keep {
-                        Some(k) if job.ranks[s as usize] < job.ranks[k as usize] => {
-                            shared.push_ready(job, k);
-                            keep = Some(s);
-                        }
-                        Some(_) => shared.push_ready(job, s),
-                        None => keep = Some(s),
-                    }
-                }
-            }
-            if let Some(s) = keep {
-                local.push((job.rid, s));
-            }
-            let before = job.remaining.fetch_sub(1, Ordering::AcqRel);
-            debug_assert!(before > 0, "job {} completed more tasks than it has", job.id);
-        }
-        AttemptEnd::Fail { attempts, message } => {
-            let e = if job.recovery {
-                ExecError::TaskFailed { task: tid, kernel: t.kind, attempts, message }
-            } else {
-                ExecError::WorkerPanicked { task: tid, kernel: t.kind, worker: me, message }
-            };
-            job.halt_with(Verdict::Fault(e));
-        }
-        AttemptEnd::Sdc { attempts, slot, message } => {
-            job.halt_with(Verdict::Fault(ExecError::SdcDetected {
-                task: tid,
-                kernel: t.kind,
-                slot,
-                attempts,
-                message,
-            }));
-        }
-        AttemptEnd::InputSdc { slot, message } => {
-            job.halt_with(Verdict::Fault(ExecError::SdcDetected {
-                task: tid,
-                kernel: t.kind,
-                slot,
-                attempts: 0,
-                message,
-            }));
-        }
-        AttemptEnd::SpillFault { message } => {
-            job.halt_with(Verdict::Fault(ExecError::SpillIo { message }));
-        }
-        // The job was halted between attempts (cancel/deadline/drain);
-        // whoever halted it recorded the verdict. The task is not done.
-        AttemptEnd::Aborted => {}
-        // Pool workers are never poisoned (rejected at submission).
-        AttemptEnd::Requeue => unreachable!("pool workers are never poisoned"),
+    match step {
+        // An abort means the job was halted between attempts
+        // (cancel/deadline/drain); whoever halted it recorded the verdict.
+        Step::Done | Step::Aborted => {}
+        Step::Failed(e) => job.halt_with(Verdict::Fault(e)),
+        Step::Requeue => unreachable!("pool workers are never poisoned"),
     }
 }
 
@@ -2108,8 +1954,8 @@ fn periodic_checkpoints(shared: &Shared) {
     }
     let active = shared.active.read().unwrap_or_else(std::sync::PoisonError::into_inner);
     for job in active.values() {
-        let rem = job.remaining.load(Ordering::Acquire);
-        if !job.halted.load(Ordering::SeqCst)
+        let rem = job.run.remaining.load(Ordering::Acquire);
+        if !job.run.halted.load(Ordering::SeqCst)
             && job.deadline.is_none()
             && rem > 0
             && rem < job.initial_remaining
@@ -2152,7 +1998,7 @@ fn preempt_for_qos(shared: &Shared) {
     }
     let lower: Vec<&Arc<ActiveJob>> = active
         .values()
-        .filter(|j| j.qos_inv > cand_qos_inv && !j.halted.load(Ordering::SeqCst))
+        .filter(|j| j.qos_inv > cand_qos_inv && !j.run.halted.load(Ordering::SeqCst))
         .collect();
     if lower.is_empty() {
         return;
@@ -2211,8 +2057,8 @@ fn enforce_deadlines(shared: &Shared) {
             // A job that already finished its last task but has not been
             // finalized yet has met its deadline — don't fail it on a
             // supervisor scheduling artifact.
-            if !job.halted.load(Ordering::SeqCst)
-                && job.remaining.load(Ordering::Acquire) > 0
+            if !job.run.halted.load(Ordering::SeqCst)
+                && job.run.remaining.load(Ordering::Acquire) > 0
                 && job.started.elapsed() > d
             {
                 job.halt_with(Verdict::Deadline(d));
@@ -2244,8 +2090,8 @@ fn finalize_jobs(shared: &Shared) {
         active
             .iter()
             .filter(|(_, j)| {
-                let finished = j.remaining.load(Ordering::Acquire) == 0;
-                let halted = j.halted.load(Ordering::SeqCst);
+                let finished = j.run.remaining.load(Ordering::Acquire) == 0;
+                let halted = j.run.halted.load(Ordering::SeqCst);
                 (finished || halted) && j.inflight.load(Ordering::SeqCst) == 0
             })
             .map(|(&rid, _)| rid)
@@ -2285,10 +2131,7 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
     // branch clones or returns `a`/`factors`. When the fault-in itself
     // fails, a clean or suspending verdict must not survive — the state
     // it would persist is zero-filled where the read failed.
-    let unpage_err = {
-        let ActiveJob { store, a, factors, .. } = &mut job;
-        store.unpage(a, factors).err()
-    };
+    let unpage_err = job.run.store.unpage(&mut job.a, &mut job.factors).err();
     let verdict = relock(&job.verdict).take();
     let verdict = match (verdict, unpage_err) {
         (None, Some(message)) | (Some(Verdict::Suspend(_)), Some(message)) => {
@@ -2298,7 +2141,7 @@ fn conclude_job(shared: &Shared, mut job: ActiveJob) {
     };
     let stats = *relock(&job.stats);
     let tasks_total = job.graph.tasks().len();
-    let tasks_done = tasks_total - job.remaining.load(Ordering::Acquire);
+    let tasks_done = tasks_total - job.run.remaining.load(Ordering::Acquire);
     let id = job.id;
     match verdict {
         None => {
@@ -2384,7 +2227,7 @@ fn suspend_job(
     // only completes after all its predecessors did — so the set is closed
     // under predecessors, which is precisely what `validate_against`
     // requires of a resumable checkpoint.
-    let completed: Vec<bool> = job.done.iter().map(|d| d.load(Ordering::Acquire)).collect();
+    let completed: Vec<bool> = job.run.done.iter().map(|d| d.load(Ordering::Acquire)).collect();
     let ckpt = Checkpoint {
         mt: job.graph.mt(),
         nt: job.graph.nt(),
@@ -2626,53 +2469,37 @@ fn activate_job(shared: &Shared, p: PendingJob) {
     // directory (or the OS temp dir on non-durable pools). Spill-store
     // setup failure degrades to fully-resident — the job was already
     // admitted, so availability beats the memory cap here.
-    let ws = working_set_bytes(&graph);
-    let store = match shared.cfg.resident_budget.filter(|&rb| rb < ws) {
-        Some(rb) => {
-            let spill_dir = shared.cfg.durability.as_ref().map(|d| d.state_dir.join("spill"));
-            match TileStore::paged_with_ib(&mut a, &mut factors, jp.ib, rb, spill_dir.as_deref()) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!(
-                        "hqr-pool: job {id}: spill store unavailable ({e}); running resident"
-                    );
-                    TileStore::with_ib(&mut a, &mut factors, jp.ib)
-                }
-            }
-        }
-        None => TileStore::with_ib(&mut a, &mut factors, jp.ib),
+    let spill_dir = shared.cfg.durability.as_ref().map(|d| d.state_dir.join("spill"));
+    let store = open_store(
+        &graph,
+        &mut a,
+        &mut factors,
+        jp.ib,
+        shared.cfg.resident_budget,
+        spill_dir.as_deref(),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("hqr-pool: job {id}: spill store unavailable ({e}); running resident");
+        TileStore::with_ib(&mut a, &mut factors, jp.ib)
+    });
+    let opts = ExecOptions {
+        ib: Some(jp.ib),
+        max_retries: jp.max_retries,
+        plan: jp.plan.clone(),
+        policy: jp.policy,
+        integrity: jp.integrity,
+        ..Default::default()
     };
-    let guards = jp.integrity.is_on().then(|| GuardStore::new(graph.mt(), graph.nt()));
-    let ranks = sched::priorities(&graph, jp.policy);
-    let mut indeg0: Vec<u32> = graph.in_degrees().to_vec();
-    for (t, &done) in completed.iter().enumerate() {
-        if done {
-            for &s in graph.successors(t) {
-                indeg0[s as usize] -= 1;
-            }
-        }
-    }
-    let remaining = completed.iter().filter(|&&d| !d).count();
-    let recovery = jp.max_retries > 0 || jp.plan.is_some();
+    let (run, frontier) = DagRun::new(&graph, store, &opts, Some(&completed), n);
     let rid = shared.next_rid.fetch_add(1, Ordering::Relaxed);
     let job = Arc::new(ActiveJob {
         rid,
         id,
         seq,
         qos_inv: jp.qos.inverted(),
-        ranks,
-        store,
-        guards,
-        plan: jp.plan.clone(),
-        max_retries: jp.max_retries,
-        recovery,
-        full_integrity: jp.integrity == IntegrityMode::Full,
-        indeg: indeg0.iter().map(|&d| AtomicU32::new(d)).collect(),
-        done: completed.iter().map(|&d| AtomicBool::new(d)).collect(),
-        remaining: AtomicUsize::new(remaining),
-        initial_remaining: remaining,
+        initial_remaining: run.remaining.load(Ordering::Relaxed),
+        run,
         inflight: AtomicUsize::new(0),
-        halted: AtomicBool::new(false),
         verdict: Mutex::new(None),
         stats: Mutex::new(FaultStats::default()),
         started: Instant::now(),
@@ -2702,13 +2529,11 @@ fn activate_job(shared: &Shared, p: PendingJob) {
         None => attempts,
     });
     shared.log_event(JournalEvent::Started { id, attempt });
-    // Publish the initial frontier from the local snapshot: the job is
-    // already live, so a task released since by a running predecessor
-    // shows indegree 0 in `job.indeg` too and must not be pushed twice.
-    for (tid, (&d, &done)) in indeg0.iter().zip(&completed).enumerate() {
-        if d == 0 && !done {
-            shared.push_ready(&job, tid as u32);
-        }
+    // Publish the initial frontier from the construction-time snapshot:
+    // the job is already live, so a task released since by a running
+    // predecessor must not be pushed twice.
+    for tid in frontier {
+        shared.sched.push(job.tag(tid, job.run.ranks[tid as usize]));
     }
 }
 

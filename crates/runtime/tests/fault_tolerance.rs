@@ -5,9 +5,9 @@
 use std::time::Duration;
 
 use hqr_runtime::{
-    chrome_trace_from_exec, execute_serial, try_execute_parallel, try_execute_traced,
-    try_execute_with, validate_sdc_instants, ElimOp, ExecError, ExecOptions, FaultPlan,
-    IntegrityMode, SdcFault, SdcPattern, StallCause, TFactors, TaskGraph,
+    chrome_trace_from_exec, execute_serial, try_execute_traced, try_execute_with,
+    validate_sdc_instants, ElimOp, ExecError, ExecOptions, FaultPlan, IntegrityMode, SdcFault,
+    SdcPattern, StallCause, TFactors, TaskGraph,
 };
 use hqr_tile::TiledMatrix;
 
@@ -192,7 +192,8 @@ fn config_errors_are_typed() {
     let g = TaskGraph::build(3, 3, 2, &flat_elims(3, 3));
     // Tile-size mismatch between the matrix and the graph.
     let mut wrong = TiledMatrix::random(3, 3, 4, 91);
-    assert!(matches!(try_execute_parallel(&g, &mut wrong, 2), Err(ExecError::Config { .. })));
+    let two = ExecOptions::with_threads(2);
+    assert!(matches!(try_execute_with(&g, &mut wrong, &two), Err(ExecError::Config { .. })));
     // Inner block size out of range.
     let mut a = TiledMatrix::random(3, 3, 2, 92);
     let opts = ExecOptions { nthreads: 2, ib: Some(5), ..Default::default() };
@@ -206,7 +207,7 @@ fn try_parallel_matches_serial_on_clean_runs() {
     let mut a1 = TiledMatrix::random(mt, nt, b, 101);
     let mut a2 = a1.clone();
     let _ = execute_serial(&g, &mut a1);
-    let _ = try_execute_parallel(&g, &mut a2, 4).expect("clean run");
+    let _ = try_execute_with(&g, &mut a2, &ExecOptions::with_threads(4)).expect("clean run");
     assert_eq!(a1.to_dense().data(), a2.to_dense().data());
 }
 
