@@ -13,7 +13,7 @@
 //!   as eight concurrent jobs, measuring service throughput.
 //!
 //! Usage: `cargo run --release -p hqr-bench --bin perf_baseline -- \
-//!   [--out BENCH_7.json]`
+//!   [--out BENCH_8.json]`
 //!
 //! The snapshot records which gemm-core dispatch arm ran (scalar or
 //! AVX2/FMA — force with `HQR_SIMD=off`) so successive baselines are only
@@ -191,7 +191,7 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "BENCH_7.json".to_string());
+        .unwrap_or_else(|| "BENCH_8.json".to_string());
     let threads = std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(4);
     let reps = 7;
 

@@ -37,7 +37,7 @@ USAGE:
       fraction and reporting where spill bandwidth overtakes compute
       ALG: hqr | hqr-square | bbd10 | slhd10 | scalapack
       RATES: edel = the paper's §V-A kernel rates (default);
-             measured = this repo's own kernels (BENCH_7.json)
+             measured = this repo's own kernels (BENCH_8.json)
   hqr fault    [--rows R --cols C --tile B --grid PxQ --threads T --seed S
                 --fail K --retries N --policy POLICY --crash-node X
                 --crash-frac F --degrade-bw F --degrade-lat F --nodes N
@@ -196,7 +196,7 @@ fn policy_of(args: &Args, default: SchedPolicy) -> Result<SchedPolicy, i32> {
 }
 
 /// `--rates edel|measured`: which kernel-rate calibration the simulator
-/// prices tasks with (paper §V-A numbers vs this repo's BENCH_7.json).
+/// prices tasks with (paper §V-A numbers vs this repo's BENCH_8.json).
 fn rates_of(args: &Args) -> Result<KernelRates, i32> {
     match args.str_or("rates", "edel").as_str() {
         "edel" => Ok(KernelRates::edel()),

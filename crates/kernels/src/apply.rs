@@ -361,7 +361,8 @@ mod tests {
 
     #[test]
     fn tt_kernels_never_touch_the_dead_lower_triangle_at_any_ib() {
-        const N: usize = 8;
+        // Wide enough that the factor kernel's panels recurse (base 8).
+        const N: usize = 20;
         let tile = |seed| DenseMatrix::random(N, N, seed).data().to_vec();
         let upper_n = |a: &[f64]| {
             let mut u = vec![0.0; N * N];

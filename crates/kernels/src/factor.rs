@@ -1,16 +1,28 @@
 //! Factorization kernels: GEQRT, TSQRT, TTQRT.
 //!
 //! Each factors the tile in column panels of width `ib` (PLASMA's inner
-//! block size): the panel's columns are reduced with level-2 updates
-//! while its T factor is built, then the panel's block reflector is
-//! applied to the trailing columns through the shared gemm core
-//! ([`crate::apply`]). `ib = b` is the one-panel case with no trailing
-//! apply — the plain unblocked kernel.
+//! block size) and applies each panel's block reflector to the trailing
+//! columns through the shared gemm core ([`crate::apply`]). `ib = b` is
+//! the one-panel case with no trailing apply.
+//!
+//! A panel is factored recursively, as in Elmroth–Gustavson and LAPACK
+//! `dgeqrt3`: split its columns in half, factor the left half, apply its
+//! reflectors to the right half, factor the right half, and merge the two
+//! T factors with T₁₂ = −T₁·(V₁ᵀV₂)·T₂. The apply and the merge are
+//! gemm-core calls; only panels of at most [`BASE`] columns run the
+//! level-2 column loop. The recursion depends on `(b, ib)` alone, so the
+//! output is bitwise deterministic on each dispatch arm, and a panel no
+//! wider than [`BASE`] gives exactly the bits of the plain column loop.
 
 use crate::apply::{apply_stacked_panel, apply_unit_lower_panel};
 use crate::larfg::larfg;
-use crate::micro::simd_arm;
+use crate::micro::{gemm_core, simd_arm, MaskA, SimdArm};
 use crate::{check_ib, check_tile, panels, Trans};
+
+/// Widest panel the level-2 column loop factors; wider panels recurse.
+/// Chosen from single-core kernel rates at b from 16 to 200 (DESIGN.md,
+/// "Factor kernels: a recursive panel").
+const BASE: usize = 8;
 
 /// QR factorization of a square `b × b` tile (PLASMA `CORE_dgeqrt`) with
 /// inner block size `ib`.
@@ -26,56 +38,106 @@ pub fn geqrt_ib(b: usize, ib: usize, a: &mut [f64], t: &mut [f64]) {
     check_tile(b, t);
     check_ib(b, ib);
     t.fill(0.0);
+    let arm = simd_arm();
     for (s, e) in panels(b, ib) {
-        for j in s..e {
-            let cj = j * b;
-            // Generate the reflector annihilating a[j+1.., j].
-            let (beta, tau) = {
-                let alpha = a[cj + j];
-                let (_, tail) = a.split_at_mut(cj + j + 1);
-                larfg(alpha, &mut tail[..b - j - 1])
-            };
-            a[cj + j] = beta;
-            // Apply H_j = I − τ v vᵀ to the panel's later columns.
-            for l in (j + 1)..e {
-                let cl = l * b;
-                let mut wv = a[cl + j];
-                for i in (j + 1)..b {
-                    wv += a[cj + i] * a[cl + i];
-                }
-                wv *= tau;
-                a[cl + j] -= wv;
-                for i in (j + 1)..b {
-                    a[cl + i] -= wv * a[cj + i];
-                }
-            }
-            // T_p(0..jj, jj) = −τ·T_p·(Vᵀ v_j) with jj = j − s.
-            let jj = j - s;
-            for i in 0..jj {
-                let ci = (s + i) * b;
-                let mut z = a[ci + j];
-                for r in (j + 1)..b {
-                    z += a[ci + r] * a[cj + r];
-                }
-                t[i + cj] = z;
-            }
-            // In-place upper-triangular matvec; ascending i only
-            // overwrites entries later iterations never read.
-            for i in 0..jj {
-                let mut y = 0.0;
-                for r in i..jj {
-                    y += t[i + (s + r) * b] * t[r + cj];
-                }
-                t[i + cj] = -tau * y;
-            }
-            t[jj + cj] = tau;
-        }
+        geqrt_panel(arm, b, s, e - s, a, t);
         if e < b {
             let (v, trail) = a.split_at_mut(e * b);
-            let c = &mut trail[s..];
-            apply_unit_lower_panel(simd_arm(), b, s, e - s, v, t, c, b - e, Trans::Trans);
+            apply_unit_lower_panel(arm, b, s, e - s, v, t, &mut trail[s..], b - e, Trans::Trans);
         }
     }
+}
+
+/// Factor the panel at columns `s..s+w` of `a` (rows `s..b`) and build
+/// its T factor. `t` is addressed relative to the panel: T[i, c] is
+/// `t[i + (s + c)·b]`, so a sub-panel passes `&mut t[offset..]`.
+fn geqrt_panel(arm: SimdArm, b: usize, s: usize, w: usize, a: &mut [f64], t: &mut [f64]) {
+    if w <= BASE {
+        geqrt_columns(b, s, s + w, a, t);
+        return;
+    }
+    let (w1, w2) = (w / 2, w - w / 2);
+    let c = s + w1;
+    geqrt_panel(arm, b, s, w1, a, t);
+    let (v, right) = a.split_at_mut(c * b);
+    apply_unit_lower_panel(arm, b, s, w1, v, t, &mut right[s..], w2, Trans::Trans);
+    geqrt_panel(arm, b, c, w2, a, &mut t[w1..]);
+    // Z = V₁ᵀ·V₂ over rows c..b, the only rows where V₂ is nonzero.
+    let m = b - c;
+    let mut v1t = vec![0.0; w1 * m];
+    let mut v2 = vec![0.0; m * w2];
+    for r in 0..w1 {
+        for i in 0..m {
+            v1t[r + i * w1] = a[c + i + (s + r) * b];
+        }
+    }
+    for col in 0..w2 {
+        v2[col + col * m] = 1.0;
+        let src = c + (c + col) * b;
+        v2[col + 1 + col * m..(col + 1) * m].copy_from_slice(&a[src + col + 1..src + m]);
+    }
+    let mut z = vec![0.0; w1 * w2];
+    gemm_core(arm, w1, w2, m, 1.0, &v1t, w1, MaskA::Full, &v2, m, 0.0, &mut z, w1);
+    merge_t(arm, b, s, w1, w2, &z, t);
+}
+
+/// The level-2 base case: reduce columns `s..e` one reflector at a time,
+/// updating the panel's later columns and T column by column.
+fn geqrt_columns(b: usize, s: usize, e: usize, a: &mut [f64], t: &mut [f64]) {
+    for j in s..e {
+        let cj = j * b;
+        // Generate the reflector annihilating a[j+1.., j].
+        let (beta, tau) = {
+            let alpha = a[cj + j];
+            let (_, tail) = a.split_at_mut(cj + j + 1);
+            larfg(alpha, &mut tail[..b - j - 1])
+        };
+        a[cj + j] = beta;
+        // Apply H_j = I − τ v vᵀ to the panel's later columns.
+        for l in (j + 1)..e {
+            let cl = l * b;
+            let mut wv = a[cl + j];
+            for i in (j + 1)..b {
+                wv += a[cj + i] * a[cl + i];
+            }
+            wv *= tau;
+            a[cl + j] -= wv;
+            for i in (j + 1)..b {
+                a[cl + i] -= wv * a[cj + i];
+            }
+        }
+        // T_p(0..jj, jj) = −τ·T_p·(Vᵀ v_j) with jj = j − s.
+        let jj = j - s;
+        for i in 0..jj {
+            let ci = (s + i) * b;
+            let mut z = a[ci + j];
+            for r in (j + 1)..b {
+                z += a[ci + r] * a[cj + r];
+            }
+            t[i + cj] = z;
+        }
+        // In-place upper-triangular matvec; ascending i only
+        // overwrites entries later iterations never read.
+        for i in 0..jj {
+            let mut y = 0.0;
+            for r in i..jj {
+                y += t[i + (s + r) * b] * t[r + cj];
+            }
+            t[i + cj] = -tau * y;
+        }
+        t[jj + cj] = tau;
+    }
+}
+
+/// Merge the T factors of two adjacent reflector blocks — T₁ for the
+/// `w1` columns from `s`, T₂ for the next `w2` — given `z = V₁ᵀ·V₂`
+/// (`w1 × w2`): T₁₂ := −T₁·Z·T₂. `t` is addressed as in [`geqrt_panel`];
+/// the strict lower triangles of T₁ and T₂ hold zeros.
+fn merge_t(arm: SimdArm, b: usize, s: usize, w1: usize, w2: usize, z: &[f64], t: &mut [f64]) {
+    let (left, right) = t.split_at_mut((s + w1) * b);
+    let mut zt2 = vec![0.0; w1 * w2];
+    gemm_core(arm, w1, w2, w2, 1.0, z, w1, MaskA::Full, &right[w1..], b, 0.0, &mut zt2, w1);
+    gemm_core(arm, w1, w2, w1, -1.0, &left[s * b..], b, MaskA::Upper(0), &zt2, w1, 0.0, right, b);
 }
 
 /// Shared TSQRT/TTQRT: QR of a triangle stacked on a second tile. `tri`
@@ -88,54 +150,107 @@ fn stacked_qrt_ib(b: usize, ib: usize, a1: &mut [f64], a2: &mut [f64], t: &mut [
     check_tile(b, a2);
     check_tile(b, t);
     check_ib(b, ib);
-    let support = |col: usize| if tri { col + 1 } else { b };
     t.fill(0.0);
+    let arm = simd_arm();
     for (s, e) in panels(b, ib) {
-        for j in s..e {
-            let cj = j * b;
-            let blen = support(j);
-            // Reflector on [a1[j,j]; a2[0..blen, j]]: the top part of v is
-            // e_j because rows below j of the stacked triangle are zero.
-            let (beta, tau) = larfg(a1[j + cj], &mut a2[cj..cj + blen]);
-            a1[j + cj] = beta;
-            for l in (j + 1)..e {
-                let cl = l * b;
-                let mut wv = a1[j + cl];
-                for i in 0..blen {
-                    wv += a2[cj + i] * a2[cl + i];
-                }
-                wv *= tau;
-                a1[j + cl] -= wv;
-                for i in 0..blen {
-                    a2[cl + i] -= wv * a2[cj + i];
-                }
-            }
-            // The top blocks of V̂ are disjoint unit vectors, so only the
-            // bottom parts contribute: z_i = v2_iᵀ · v2_j.
-            let jj = j - s;
-            for i in 0..jj {
-                let sup = support(s + i).min(blen);
-                let ci = (s + i) * b;
-                let mut z = 0.0;
-                for r in 0..sup {
-                    z += a2[ci + r] * a2[cj + r];
-                }
-                t[i + cj] = z;
-            }
-            for i in 0..jj {
-                let mut y = 0.0;
-                for r in i..jj {
-                    y += t[i + (s + r) * b] * t[r + cj];
-                }
-                t[i + cj] = -tau * y;
-            }
-            t[jj + cj] = tau;
-        }
+        stacked_panel(arm, b, s, e - s, a1, a2, t, tri);
         if e < b {
             let (v2, a2t) = a2.split_at_mut(e * b);
             let a1t = &mut a1[e * b..];
-            apply_stacked_panel(simd_arm(), b, s, e - s, v2, t, a1t, a2t, b - e, Trans::Trans, tri);
+            apply_stacked_panel(arm, b, s, e - s, v2, t, a1t, a2t, b - e, Trans::Trans, tri);
         }
+    }
+}
+
+/// [`geqrt_panel`] for the stacked family: factor columns `s..s+w` of
+/// `[A1; A2]`, `t` addressed relative to the panel.
+#[allow(clippy::too_many_arguments)]
+fn stacked_panel(
+    arm: SimdArm,
+    b: usize,
+    s: usize,
+    w: usize,
+    a1: &mut [f64],
+    a2: &mut [f64],
+    t: &mut [f64],
+    tri: bool,
+) {
+    if w <= BASE {
+        stacked_columns(b, s, s + w, a1, a2, t, tri);
+        return;
+    }
+    let (w1, w2) = (w / 2, w - w / 2);
+    let c = s + w1;
+    stacked_panel(arm, b, s, w1, a1, a2, t, tri);
+    let (v2, a2r) = a2.split_at_mut(c * b);
+    apply_stacked_panel(arm, b, s, w1, v2, t, &mut a1[c * b..], a2r, w2, Trans::Trans, tri);
+    stacked_panel(arm, b, c, w2, a1, a2, &mut t[w1..], tri);
+    // The identity tops of V̂₁ and V̂₂ are disjoint, so V̂₁ᵀV̂₂ = V2₁ᵀ·V2₂.
+    // With TT, column s+r of V2₁ lives in rows 0..=s+r, and all of those
+    // rows are live in V2₂.
+    let (k, mask) = if tri { (c, MaskA::Lower(s)) } else { (b, MaskA::Full) };
+    let mut v1t = vec![0.0; w1 * k];
+    for r in 0..w1 {
+        let sup = if tri { s + r + 1 } else { k };
+        for i in 0..sup {
+            v1t[r + i * w1] = a2[i + (s + r) * b];
+        }
+    }
+    let mut z = vec![0.0; w1 * w2];
+    gemm_core(arm, w1, w2, k, 1.0, &v1t, w1, mask, &a2[c * b..], b, 0.0, &mut z, w1);
+    merge_t(arm, b, s, w1, w2, &z, t);
+}
+
+/// The level-2 base case of [`stacked_panel`].
+fn stacked_columns(
+    b: usize,
+    s: usize,
+    e: usize,
+    a1: &mut [f64],
+    a2: &mut [f64],
+    t: &mut [f64],
+    tri: bool,
+) {
+    let support = |col: usize| if tri { col + 1 } else { b };
+    for j in s..e {
+        let cj = j * b;
+        let blen = support(j);
+        // Reflector on [a1[j,j]; a2[0..blen, j]]: the top part of v is
+        // e_j because rows below j of the stacked triangle are zero.
+        let (beta, tau) = larfg(a1[j + cj], &mut a2[cj..cj + blen]);
+        a1[j + cj] = beta;
+        for l in (j + 1)..e {
+            let cl = l * b;
+            let mut wv = a1[j + cl];
+            for i in 0..blen {
+                wv += a2[cj + i] * a2[cl + i];
+            }
+            wv *= tau;
+            a1[j + cl] -= wv;
+            for i in 0..blen {
+                a2[cl + i] -= wv * a2[cj + i];
+            }
+        }
+        // The top blocks of V̂ are disjoint unit vectors, so only the
+        // bottom parts contribute: z_i = v2_iᵀ · v2_j.
+        let jj = j - s;
+        for i in 0..jj {
+            let sup = support(s + i).min(blen);
+            let ci = (s + i) * b;
+            let mut z = 0.0;
+            for r in 0..sup {
+                z += a2[ci + r] * a2[cj + r];
+            }
+            t[i + cj] = z;
+        }
+        for i in 0..jj {
+            let mut y = 0.0;
+            for r in i..jj {
+                y += t[i + (s + r) * b] * t[r + cj];
+            }
+            t[i + cj] = -tau * y;
+        }
+        t[jj + cj] = tau;
     }
 }
 

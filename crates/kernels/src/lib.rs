@@ -17,9 +17,13 @@
 //! which splits the tile into column panels of width `ib` (its inner
 //! block size). The unblocked kernel is the one-panel case `ib = b`;
 //! [`geqrt`], [`unmqr`], [`tsqrt`], [`tsmqr`], [`ttqrt`] and [`ttmqr`]
-//! are exactly those calls. Every level-3 step runs on the shared gemm
-//! core in [`micro`], dispatched once per process to a scalar or an
-//! AVX2/FMA arm ([`simd_arm`]; [`with_arm`] pins one for a closure).
+//! are exactly those calls. The factor kernels factor each panel
+//! recursively (halve it, factor the left half, apply it to the right
+//! half, factor that, merge the two T factors), so outside a narrow
+//! level-2 base case their work, like all of the update kernels', runs
+//! on the shared gemm core in [`micro`], dispatched once per process to a
+//! scalar or an AVX2/FMA arm ([`simd_arm`]; [`with_arm`] pins one for a
+//! closure).
 //!
 //! All tiles are square `b × b`, column-major slices of length `b²`.
 //! TT kernels exploit the triangular structure of the second tile and so

@@ -1,8 +1,9 @@
 //! Register-blocked gemm microkernel with one-time SIMD dispatch.
 //!
 //! Every level-3 operation in this crate — the update kernels
-//! (UNMQR/TSMQR/TTMQR), the trailing block-applies of the inner-blocked
-//! factor kernels, and [`crate::blas::gemm`] — funnels into
+//! (UNMQR/TSMQR/TTMQR), the factor kernels' trailing block-applies and
+//! recursive-panel applies and T merges, and [`crate::blas::gemm`] —
+//! funnels into
 //! [`gemm_core`]: `C := α·A·B + β·C` on column-major buffers with
 //! explicit leading dimensions, where `A` may carry a triangular
 //! structure mask so triangle-shaped operands (TT kernels, T factors,

@@ -19,7 +19,9 @@ use hqr_kernels::{
 };
 use hqr_tile::DenseMatrix;
 
-const SIZES: &[usize] = &[1, 3, 5, 8, 13, 24, 32];
+// Around the factor kernels' recursive-panel base width (8): below, at,
+// above, 2·base+1, and a tile deep enough for three levels of recursion.
+const SIZES: &[usize] = &[1, 3, 5, 7, 8, 9, 13, 17, 24, 32, 128];
 
 fn tile(b: usize, seed: u64) -> Vec<f64> {
     DenseMatrix::random(b, b, seed).data().to_vec()
@@ -144,7 +146,7 @@ fn scalar_and_detected_arms_agree_to_rounding_on_all_kernels() {
 #[test]
 fn each_arm_is_bitwise_deterministic_run_to_run() {
     for arm in [SimdArm::Scalar, simd_detected()] {
-        for &b in &[5usize, 13, 32] {
+        for &b in &[5usize, 13, 17, 32] {
             let first = run_all(arm, b, 0x51d7 + b as u64);
             let second = run_all(arm, b, 0x51d7 + b as u64);
             for ((name, xs), (_, ys)) in first.iter().zip(&second) {
@@ -160,7 +162,7 @@ fn ib_factorization_matches_flat_kernels_numerically() {
     // arms — guards the panel/trailing split against the one-panel kernel
     // and against the independent dense Householder reference.
     let det = simd_detected();
-    for &b in &[6usize, 12, 24] {
+    for &b in &[6usize, 12, 17, 24, 40] {
         let a0 = tile(b, 77 + b as u64);
         let (_, r_dense) = dense_householder_qr(&DenseMatrix::from_col_major(b, b, &a0));
         let r_dense = upper(b, r_dense.data());

@@ -123,7 +123,10 @@ fn every_backend(
 #[test]
 fn every_backend_gives_bitwise_identical_factors() {
     let pool = JobPool::new(PoolConfig { nthreads: 2, ..Default::default() });
-    for (seed, (mt, nt, b)) in [(1u64, (7usize, 3usize, 8usize)), (2, (6, 4, 6)), (3, (9, 3, 5))] {
+    // b = 20 is above twice the factor kernels' base-case width (8), so
+    // at ib = b their panels recurse and at ib = 3 they do not.
+    let cases = [(1u64, (7usize, 3usize, 8usize)), (2, (6, 4, 6)), (3, (9, 3, 5)), (4, (5, 3, 20))];
+    for (seed, (mt, nt, b)) in cases {
         let elims = random_tree(mt, nt, seed);
         for ib in [b, 3] {
             let tag = format!("seed{seed}_ib{ib}");
